@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import FakeStrategy
-from .photonics import Action, EveProbePair, Outcome, helstrom_guess
+from .photonics import Action, Branches, EveProbePair, Outcome, helstrom_guess, pick_branch
 
 
 class ProbeResult(Enum):
@@ -48,54 +48,66 @@ class EveRecord:
     true_bit: int | None
 
 
-def fake_announcement(strategy: FakeStrategy, rng: np.random.Generator) -> Outcome:
-    """Announcement the single-path attacker fabricates once her photon
+def fake_announcement_branches(strategy: FakeStrategy) -> Branches[Outcome]:
+    """Announcements the single-path attacker fabricates once her photon
     returned.  RANDOM_QUARTER reproduces the honest conditional law (D1 with
     probability 1/4, D2 with 3/4); ALWAYS_D2 suppresses D1 at the price of a
     detectable announcement bias."""
     if strategy is FakeStrategy.ALWAYS_D2:
-        return Outcome.D2
-    return Outcome.D1 if rng.random() < 0.25 else Outcome.D2
+        return [(1.0, Outcome.D2)]
+    return [(0.25, Outcome.D1), (0.75, Outcome.D2)]
+
+
+def fake_announcement(strategy: FakeStrategy, rng: np.random.Generator) -> Outcome:
+    """One draw from ``fake_announcement_branches``."""
+    return pick_branch(fake_announcement_branches(strategy), rng)
+
+
+def single_path_branches(strategy: FakeStrategy, returned: bool) -> Branches[Outcome]:
+    """Announcements of a single-path attacked round, given whether the
+    probe photon came back (it returns exactly when the probed station
+    reflected).  A non-returned photon was registered by the probed station,
+    so the only announcement consistent with a later disclosure is NULL and
+    no key bit arises."""
+    if not returned:
+        return [(1.0, Outcome.NULL)]
+    return fake_announcement_branches(strategy)
 
 
 def alice_single_path(
     strategy: FakeStrategy, returned: bool, rng: np.random.Generator
 ) -> tuple[Outcome, AliceAttackState]:
-    """One single-path attacked round, given whether the probe photon came
-    back (it returns exactly when the probed station reflected).
+    """One single-path attacked round, drawn from ``single_path_branches``.
 
-    A non-returned photon was registered by the probed station, so the only
-    announcement consistent with a later disclosure is NULL and no key bit
-    arises.  The attacker learns the probed station's setting either way but
-    stays ignorant of the other station's coin.
+    The attacker learns the probed station's setting either way but stays
+    ignorant of the other station's coin.
     """
-    if not returned:
-        state = AliceAttackState(True, ProbeResult.NOT_RETURNED, Outcome.NULL)
-        return Outcome.NULL, state
-    announced = fake_announcement(strategy, rng)
-    return announced, AliceAttackState(True, ProbeResult.RETURNED, announced)
+    announced = pick_branch(single_path_branches(strategy, returned), rng)
+    result = ProbeResult.RETURNED if returned else ProbeResult.NOT_RETURNED
+    return announced, AliceAttackState(True, result, announced)
+
+
+def honest_outcome_branches(setting_b: Action, setting_c: Action) -> Branches[Outcome]:
+    """The honest per-cell outcome law of a lossless, dark-free round.
+
+    Double reflection gives D2 with certainty, double absorption NULL, and
+    anti-correlated settings D1 or D2 with probability 1/4 each (NULL
+    otherwise).
+    """
+    if setting_b is Action.F and setting_c is Action.F:
+        return [(1.0, Outcome.D2)]
+    if setting_b is Action.A and setting_c is Action.A:
+        return [(1.0, Outcome.NULL)]
+    return [(0.25, Outcome.D1), (0.25, Outcome.D2), (0.5, Outcome.NULL)]
 
 
 def honest_outcome_sample(
     setting_b: Action, setting_c: Action, rng: np.random.Generator
 ) -> Outcome:
-    """Sample an announcement from the honest per-cell outcome law.
-
-    Double reflection gives D2 with certainty, double absorption NULL, and
-    anti-correlated settings D1 or D2 with probability 1/4 each (NULL
-    otherwise).  Used by the double-path attacker to mimic an honest source
-    once she has inferred both settings.
-    """
-    if setting_b is Action.F and setting_c is Action.F:
-        return Outcome.D2
-    if setting_b is Action.A and setting_c is Action.A:
-        return Outcome.NULL
-    u = rng.random()
-    if u < 0.25:
-        return Outcome.D1
-    if u < 0.5:
-        return Outcome.D2
-    return Outcome.NULL
+    """One draw from ``honest_outcome_branches``.  Used by the double-path
+    attacker to mimic an honest source once she has inferred both
+    settings."""
+    return pick_branch(honest_outcome_branches(setting_b, setting_c), rng)
 
 
 def alice_double_path(

@@ -104,7 +104,7 @@ def transmit_onward(
     state: JointState,
     channel_cfg: ChannelConfig,
     attack: AttackConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
 ) -> JointState:
     """Onward leg from the source to the stations.
 
@@ -112,7 +112,8 @@ def transmit_onward(
     can synchronize with: always when she knows the transmission schedule,
     and otherwise only if emissions are not randomly timed.  A probe that
     cannot synchronize abstains rather than guessing slots.  Source-side
-    attacks bypass this hook entirely.
+    attacks bypass this hook entirely.  The leg draws no randomness, so ``rng``
+    may be omitted.
     """
     if attack.kind is AttackKind.EVE_PROBE and (
         attack.knows_schedule or not channel_cfg.timing_jitter

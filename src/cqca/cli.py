@@ -262,11 +262,22 @@ def _report_payload(cfg: RunConfig, report, verdict, expected) -> str:
     return metrics.report_text_block(report, verdict, expected)
 
 
+def _abort_insufficient(exc: metrics.InsufficientSample) -> int:
+    """A sample too small to estimate some figure of merit cannot vouch for
+    a key: abort, naming the estimate that had no rounds."""
+    print(f"insufficient sample: {exc}", file=sys.stderr)
+    print("ABORT reasons=insufficientSample")
+    return 2
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     attack = cfg.attack_config()
     channel_cfg = cfg.channel_config()
     result = parties.run_rounds(cfg.n, attack, channel_cfg, cfg.seed)
-    report = metrics.compute_merit_report(result.rounds, result.rounds, cfg.n)
+    try:
+        report = metrics.compute_merit_report(result.rounds, result.rounds, cfg.n)
+    except metrics.InsufficientSample as exc:
+        return _abort_insufficient(exc)
     verdict = metrics.abort_decision(report, cfg.tolerance_policy())
     expected = analysis.theoretical_merits(attack, channel_cfg)
     _emit(_report_payload(cfg, report, verdict, expected), cfg.output)
@@ -277,14 +288,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_protocol(cfg: RunConfig) -> int:
-    transcript = parties.run_protocol(
-        cfg.n,
-        cfg.f,
-        attack=cfg.attack_config(),
-        seed=cfg.seed,
-        channel_cfg=cfg.channel_config(),
-        policy=cfg.tolerance_policy(),
-    )
+    try:
+        transcript = parties.run_protocol(
+            cfg.n,
+            cfg.f,
+            attack=cfg.attack_config(),
+            seed=cfg.seed,
+            channel_cfg=cfg.channel_config(),
+            policy=cfg.tolerance_policy(),
+        )
+    except metrics.InsufficientSample as exc:
+        return _abort_insufficient(exc)
     out_path = Path(cfg.output) if cfg.output else Path("cqca-transcript.txt")
     out_path.write_text("\n".join(parties.transcript_lines(transcript)) + "\n")
     print(f"transcript = {out_path}")

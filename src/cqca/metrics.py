@@ -5,7 +5,9 @@ among double-absorption rounds, the interference visibility under double
 reflection, the announcement bias on anti-correlated settings, and the raw
 key error rate among D1 announcements.  Two channel figures, the
 multiple-count rate and the loss rate, are estimated from the full
-announcement stream since they need no setting information.
+announcement stream since they need no setting information.  Every
+estimate reads its counts off one contingency table of the rounds over
+settings, outcome, station clicks and the multiple-count flag.
 
 The abort policy gates the cheating signatures (coincidence, bias, multi
 count, loss) by a statistical tolerance around their expected values, and
@@ -17,20 +19,18 @@ distillable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable
 
-from .analysis import error_from_visibility
+from .analysis import error_from_visibility, security_threshold
 from .photonics import Action, Outcome
 
-#: Raw-key error rate beyond which the key rate goes negative; the abort
-#: rule enforces this ceiling on the measured error rate and on the error
-#: rate implied by the measured visibility.
-ERROR_RATE_CEILING = 0.1425
-
-#: Honest announcement law: NULL on half of all rounds (all of the
-#: double-absorption cell plus half of each anti-correlated cell).
-_HONEST_NULL_FRACTION = 0.5
+#: Raw-key error rate e* at which the key rate crosses zero; the abort rule
+#: enforces this ceiling on the measured error rate and on the error rate
+#: implied by the measured visibility.
+ERROR_RATE_CEILING = security_threshold()[1]
 
 
 class InsufficientSample(ValueError):
@@ -77,64 +77,106 @@ class MeritReport:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-def estimate_coincidence_rate(sample: Iterable) -> float:
-    """Fraction of disclosed double-absorption rounds with clicks at both
-    station detectors.  Honest expectation: 0 (exactly one click)."""
-    cell = [r for r in sample if r.setting_b is Action.A and r.setting_c is Action.A]
+#: A round's contingency cell: (setting_b, setting_c, outcome_alice,
+#: click_b, click_c, multi_count).
+_CELL_OF = attrgetter(
+    "setting_b", "setting_c", "outcome_alice", "click_b", "click_c", "multi_count"
+)
+
+
+def tabulate(rounds: Iterable) -> Counter:
+    """Count the rounds in each contingency cell, in one pass.  Every
+    estimate below reads its counts off such a table."""
+    return Counter(map(_CELL_OF, rounds))
+
+
+def _coincidence_rate(table: Counter) -> float:
+    cell = both = 0
+    for (setting_b, setting_c, _, click_b, click_c, _), k in table.items():
+        if setting_b is Action.A and setting_c is Action.A:
+            cell += k
+            if click_b and click_c:
+                both += k
     if not cell:
         raise InsufficientSample("no disclosed (A,A) rounds")
-    return sum(1 for r in cell if r.click_b and r.click_c) / len(cell)
+    return both / cell
 
 
-def estimate_visibility(sample: Iterable) -> float:
-    """Interference contrast on disclosed double-reflection rounds:
-    (N_D2 - N_D1) / (N_D1 + N_D2).  Honest expectation: 1."""
+def _visibility(table: Counter) -> float:
     n1 = n2 = 0
-    for r in sample:
-        if r.setting_b is Action.F and r.setting_c is Action.F:
-            if r.outcome_alice is Outcome.D1:
-                n1 += 1
-            elif r.outcome_alice is Outcome.D2:
-                n2 += 1
+    for (setting_b, setting_c, outcome, *_), k in table.items():
+        if setting_b is Action.F and setting_c is Action.F:
+            if outcome is Outcome.D1:
+                n1 += k
+            elif outcome is Outcome.D2:
+                n2 += k
     if n1 + n2 == 0:
         raise InsufficientSample("no disclosed (F,F) rounds with a click")
     return (n2 - n1) / (n1 + n2)
 
 
-def estimate_bias(sample: Iterable) -> float:
-    """Largest |P(D1|cell) - P(D2|cell)| over the two anti-correlated
-    setting cells, with each probability taken per disclosed cell round so
-    the honest values sit at 1/4 each.  Honest expectation: 0."""
+def _bias(table: Counter) -> float:
     cells = {(Action.A, Action.F): [0, 0, 0], (Action.F, Action.A): [0, 0, 0]}
-    for r in sample:
-        key = (r.setting_b, r.setting_c)
-        if key in cells:
-            cells[key][0] += 1
-            if r.outcome_alice is Outcome.D1:
-                cells[key][1] += 1
-            elif r.outcome_alice is Outcome.D2:
-                cells[key][2] += 1
+    for (setting_b, setting_c, outcome, *_), k in table.items():
+        counts = cells.get((setting_b, setting_c))
+        if counts is not None:
+            counts[0] += k
+            if outcome is Outcome.D1:
+                counts[1] += k
+            elif outcome is Outcome.D2:
+                counts[2] += k
     diffs = [abs(n1 - n2) / total for total, n1, n2 in cells.values() if total > 0]
     if not diffs:
         raise InsufficientSample("no disclosed anti-correlated rounds")
     return max(diffs)
 
 
-def estimate_error_rate(sample: Iterable) -> float:
-    """Fraction of disclosed D1 rounds whose settings were correlated
-    (both reflect or both absorb).  Honest expectation: 0."""
+def _error_rate(table: Counter) -> float:
     d1_rounds = corr = 0
-    for r in sample:
-        if r.outcome_alice is Outcome.D1:
-            d1_rounds += 1
-            if r.setting_b is r.setting_c:
-                corr += 1
+    for (setting_b, setting_c, outcome, *_), k in table.items():
+        if outcome is Outcome.D1:
+            d1_rounds += k
+            if setting_b is setting_c:
+                corr += k
     if d1_rounds == 0:
         raise InsufficientSample("no disclosed D1 rounds")
     return corr / d1_rounds
 
 
-def estimate_multi_and_loss_rates(rounds: Sequence, n: int) -> tuple[float, float]:
+def _multi_and_loss_rates(table: Counter, n: int) -> tuple[float, float]:
+    multi = sum(k for cell, k in table.items() if cell[5])
+    nulls = sum(k for cell, k in table.items() if cell[2] is Outcome.NULL)
+    null_fraction = nulls / n
+    loss = min(1.0, max(0.0, 2.0 * null_fraction - 1.0))
+    return multi / n, loss
+
+
+def estimate_coincidence_rate(sample: Iterable) -> float:
+    """Fraction of disclosed double-absorption rounds with clicks at both
+    station detectors.  Honest expectation: 0 (exactly one click)."""
+    return _coincidence_rate(tabulate(sample))
+
+
+def estimate_visibility(sample: Iterable) -> float:
+    """Interference contrast on disclosed double-reflection rounds:
+    (N_D2 - N_D1) / (N_D1 + N_D2).  Honest expectation: 1."""
+    return _visibility(tabulate(sample))
+
+
+def estimate_bias(sample: Iterable) -> float:
+    """Largest |P(D1|cell) - P(D2|cell)| over the two anti-correlated
+    setting cells, with each probability taken per disclosed cell round so
+    the honest values sit at 1/4 each.  Honest expectation: 0."""
+    return _bias(tabulate(sample))
+
+
+def estimate_error_rate(sample: Iterable) -> float:
+    """Fraction of disclosed D1 rounds whose settings were correlated
+    (both reflect or both absorb).  Honest expectation: 0."""
+    return _error_rate(tabulate(sample))
+
+
+def estimate_multi_and_loss_rates(rounds: Iterable, n: int) -> tuple[float, float]:
     """Channel figures from the full announcement stream.
 
     The multi rate is the fraction of rounds with two or more clicks across
@@ -142,11 +184,7 @@ def estimate_multi_and_loss_rates(rounds: Sequence, n: int) -> tuple[float, floa
     aggregate loss L the NULL fraction is (1 + L)/2, so L = 2*null - 1,
     clamped to [0, 1].
     """
-    multi = sum(1 for r in rounds if r.multi_count)
-    nulls = sum(1 for r in rounds if r.outcome_alice is Outcome.NULL)
-    null_fraction = nulls / n
-    loss = min(1.0, max(0.0, 2.0 * null_fraction - 1.0))
-    return multi / n, loss
+    return _multi_and_loss_rates(tabulate(rounds), n)
 
 
 def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
@@ -179,30 +217,32 @@ def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
     return (p_ff + 2.0 * p_anti + p_aa) / 4.0
 
 
-def compute_merit_report(disclosed: Sequence, all_rounds: Sequence, n: int) -> MeritReport:
+_CELL_COUNTS = {(Action.A, Action.A): "aa", (Action.A, Action.F): "af", (Action.F, Action.A): "fa"}
+
+
+def compute_merit_report(disclosed: Iterable, all_rounds: Iterable, n: int) -> MeritReport:
     """Estimate every figure of merit from a disclosed sample plus the full
-    announcement stream."""
-    counts = {
-        "disclosed": len(disclosed),
-        "aa": sum(1 for r in disclosed if r.setting_b is Action.A and r.setting_c is Action.A),
-        "ff_clicks": sum(
-            1
-            for r in disclosed
-            if r.setting_b is Action.F
-            and r.setting_c is Action.F
-            and r.outcome_alice is not Outcome.NULL
-        ),
-        "af": sum(1 for r in disclosed if r.setting_b is Action.A and r.setting_c is Action.F),
-        "fa": sum(1 for r in disclosed if r.setting_b is Action.F and r.setting_c is Action.A),
-        "d1": sum(1 for r in disclosed if r.outcome_alice is Outcome.D1),
-    }
-    multi_rate, loss_rate = estimate_multi_and_loss_rates(all_rounds, n)
+    announcement stream, each tabulated once."""
+    table = tabulate(disclosed)
+    stream = table if all_rounds is disclosed else tabulate(all_rounds)
+
+    counts = {"disclosed": 0, "aa": 0, "ff_clicks": 0, "af": 0, "fa": 0, "d1": 0}
+    for (setting_b, setting_c, outcome, *_), k in table.items():
+        counts["disclosed"] += k
+        if setting_b is Action.F and setting_c is Action.F:
+            if outcome is not Outcome.NULL:
+                counts["ff_clicks"] += k
+        else:
+            counts[_CELL_COUNTS[setting_b, setting_c]] += k
+        if outcome is Outcome.D1:
+            counts["d1"] += k
+    multi_rate, loss_rate = _multi_and_loss_rates(stream, n)
     return MeritReport(
         n=n,
-        coincidence_rate=estimate_coincidence_rate(disclosed),
-        visibility=estimate_visibility(disclosed),
-        bias=estimate_bias(disclosed),
-        error_rate=estimate_error_rate(disclosed),
+        coincidence_rate=_coincidence_rate(table),
+        visibility=_visibility(table),
+        bias=_bias(table),
+        error_rate=_error_rate(table),
         multi_rate=multi_rate,
         loss_rate=loss_rate,
         counts=counts,

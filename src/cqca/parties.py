@@ -7,6 +7,10 @@ from the D1 announcements.  Classical control traffic and the per-round
 quantum slots ride in a common packet format with a fixed header, a typed
 body, and a terminator-plus-checksum footer.
 
+Rounds are drawn in bulk from the exact per-round outcome law
+(``outcome_law``): one small table per settings cell, computed once per
+run by walking every branch of the amplitude model.
+
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
 sampled test fraction.  Key bits derive from each station's own setting
@@ -19,16 +23,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
 from . import metrics
-from .adversary import (
-    EveRecord,
-    alice_double_path,
-    alice_single_path,
-    eve_extract_bit,
-)
+from .adversary import EveRecord, honest_outcome_branches, single_path_branches
 from .channel import (
     AttackConfig,
     AttackKind,
@@ -40,13 +40,15 @@ from .channel import (
 from .photonics import (
     Action,
     Arm,
+    Branches,
     EveProbePair,
-    JointState,
     Outcome,
-    apply_party_action,
+    dark_click_branches,
+    detection_branches,
     emit,
+    helstrom_p_one,
+    party_action_branches,
     recombine_at_bs,
-    sample_detection,
 )
 
 MAGIC = b"\xc1\xca"
@@ -264,87 +266,143 @@ def sift_key(rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
     return key_bob, key_charlie
 
 
-@dataclass(slots=True)
-class _RoundOutput:
-    record: RoundRecord
-    probe: EveProbePair | None
+#: Settings cells in table order: a round's cell index is 2*[B absorbs] +
+#: [C absorbs].
+_CELLS = (
+    (Action.F, Action.F),
+    (Action.F, Action.A),
+    (Action.A, Action.F),
+    (Action.A, Action.A),
+)
+_SOURCE_ATTACKS = (AttackKind.ALICE_SINGLE_PATH, AttackKind.ALICE_DOUBLE_PATH)
+_TARGET_BRANCHES = {
+    AttackTarget.B: [(1.0, Arm.B)],
+    AttackTarget.C: [(1.0, Arm.C)],
+    AttackTarget.RANDOM: [(0.5, Arm.B), (0.5, Arm.C)],
+}
 
 
-def _resolve_target(target: AttackTarget, rng: np.random.Generator) -> Arm:
-    if target is AttackTarget.B:
-        return Arm.B
-    if target is AttackTarget.C:
-        return Arm.C
-    return Arm.B if rng.random() < 0.5 else Arm.C
+@dataclass(frozen=True, slots=True)
+class LawRow:
+    """One outcome of a round in a given table of the law.  ``p_one`` is
+    the probability that Eve's Helstrom measurement guesses bit 1 on a D1
+    row whose round carries her probe, None on every other row."""
+
+    probability: float
+    outcome: Outcome
+    click_b: bool
+    click_c: bool
+    multi_count: bool
+    p_one: float | None
 
 
-def _play_round(
-    round_id: int,
-    setting_b: Action,
-    setting_c: Action,
-    channel_cfg: ChannelConfig,
-    attack: AttackConfig,
-    rng_attack: np.random.Generator,
-    rng_quantum: np.random.Generator,
-) -> _RoundOutput:
-    """Simulate one emission through announcement.
+#: (setting_b, setting_c, attacked) -> the rows of that table, every one
+#: with positive probability.  ``attacked`` marks the rounds a source
+#: attacker took over; only source attacks have attacked tables.
+OutcomeLaw = dict[tuple[Action, Action, bool], tuple[LawRow, ...]]
 
-    Source-side attacks replace the split photon with bare probe photons
-    and a fabricated announcement; those rounds ignore the channel loss and
-    the source's dark counts (the announcement is fabricated anyway) but
-    the station detectors still dark-fire.
+
+def _probe_p_one(theta: float, amp_d1: tuple[complex, ...]) -> float:
+    probe = EveProbePair(theta=theta, collapsed_state=amp_d1)
+    # A dark D1 click on a double reflection whose port D1 amplitude
+    # vanishes (a zero-strength probe) leaves no probe amplitude: the probe
+    # then carries no which-arm information and Eve's guess is a fair coin.
+    # Such rounds have correlated settings, so they carry no key bit.
+    return 0.5 if probe.is_null() else helstrom_p_one(probe)
+
+
+#: (probability, announced outcome, source clicks, click_b, click_c, p_one)
+#: of one branch of a round, before the stations' dark counts.
+_Branch = tuple[float, Outcome, int, bool, bool, float | None]
+
+
+def _photon_branches(
+    setting_b: Action, setting_c: Action, attack: AttackConfig, channel_cfg: ChannelConfig
+) -> Iterator[_Branch]:
+    """Branches of a round whose split photon runs the interferometer."""
+    state = transmit_onward(emit(), channel_cfg, attack)
+    for p_b, (state_b, absorbed_b) in party_action_branches(state, Arm.B, setting_b):
+        for p_c, (state_c, absorbed_c) in party_action_branches(state_b, Arm.C, setting_c):
+            returned = return_leg(state_c)
+            absorbed = absorbed_b or absorbed_c
+            if absorbed:
+                zeros = (0j,) * returned.probe_dim
+                amp_d1, amp_d2 = zeros, zeros
+            else:
+                amp_d1, amp_d2 = recombine_at_bs(returned)
+            for p_d, detection in detection_branches(
+                amp_d1, amp_d2, channel_cfg.loss_rate, channel_cfg.dark_rate
+            ):
+                p_one = None
+                if detection.outcome is Outcome.D1 and returned.probe_dim > 1 and not absorbed:
+                    p_one = _probe_p_one(attack.theta, amp_d1)
+                yield (
+                    p_b * p_c * p_d,
+                    detection.outcome,
+                    detection.click_count,
+                    absorbed_b,
+                    absorbed_c,
+                    p_one,
+                )
+
+
+def _source_attack_branches(
+    setting_b: Action, setting_c: Action, attack: AttackConfig
+) -> Iterator[_Branch]:
+    """Branches of a round a source attacker took over.  Her bare
+    photons and fabricated announcement bypass the channel loss and the
+    source's dark counts; at most one announced click is hers."""
+    if attack.kind is AttackKind.ALICE_DOUBLE_PATH:
+        for p, outcome in honest_outcome_branches(setting_b, setting_c):
+            clicks = int(outcome is not Outcome.NULL)
+            yield p, outcome, clicks, setting_b is Action.A, setting_c is Action.A, None
+        return
+    for p_t, target in _TARGET_BRANCHES[attack.target]:
+        returned = (setting_b if target is Arm.B else setting_c) is Action.F
+        for p_a, outcome in single_path_branches(attack.strategy, returned):
+            clicks = int(outcome is not Outcome.NULL)
+            click_b = target is Arm.B and not returned
+            click_c = target is Arm.C and not returned
+            yield p_t * p_a, outcome, clicks, click_b, click_c, None
+
+
+def _station_branches(setting: Action, clicked: bool, dark_rate: float) -> Branches[bool]:
+    """An absorbing station's detector dark-fires when it holds no click."""
+    if setting is Action.A and not clicked:
+        return dark_click_branches(dark_rate)
+    return [(1.0, clicked)]
+
+
+def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
+    """The exact per-round outcome law, walked without random draws.
+
+    Each table follows every branch of one round in a settings cell: the
+    source attacker taking the round over or not, absorption at each
+    station, a real click or a loss, dark counts at each source detector
+    with the two-click tie, and dark counts at each absorbing station.
+    Branches that end in the same announced outcome, station clicks,
+    multiple-count flag and probe guess probability add up into one row.
     """
-    kind = attack.kind
-    probe: EveProbePair | None = None
-    if kind is AttackKind.ALICE_SINGLE_PATH and rng_attack.random() < attack.p:
-        target = _resolve_target(attack.target, rng_attack)
-        target_setting = setting_b if target is Arm.B else setting_c
-        returned = target_setting is Action.F
-        outcome, _ = alice_single_path(attack.strategy, returned, rng_attack)
-        click_b = target is Arm.B and not returned
-        click_c = target is Arm.C and not returned
-        alice_clicks = 0 if outcome is Outcome.NULL else 1
-    elif kind is AttackKind.ALICE_DOUBLE_PATH and rng_attack.random() < attack.p:
-        outcome, _ = alice_double_path(setting_b, setting_c, rng_attack)
-        click_b = setting_b is Action.A
-        click_c = setting_c is Action.A
-        alice_clicks = 0 if outcome is Outcome.NULL else 1
-    else:
-        state = emit()
-        state = transmit_onward(state, channel_cfg, attack, rng_attack)
-        state, absorbed_b = apply_party_action(state, Arm.B, setting_b, rng_quantum)
-        state, absorbed_c = apply_party_action(state, Arm.C, setting_c, rng_quantum)
-        state = return_leg(state)
-        if absorbed_b or absorbed_c:
-            zeros = (0j,) * state.probe_dim
-            amp_d1, amp_d2 = zeros, zeros
-        else:
-            amp_d1, amp_d2 = recombine_at_bs(state)
-        detection = sample_detection(
-            amp_d1, amp_d2, channel_cfg.loss_rate, channel_cfg.dark_rate, rng_quantum
-        )
-        outcome = detection.outcome
-        alice_clicks = detection.click_count
-        click_b = absorbed_b
-        click_c = absorbed_c
-        if outcome is Outcome.D1 and state.probe_dim > 1 and not (absorbed_b or absorbed_c):
-            probe = EveProbePair(theta=attack.theta, collapsed_state=amp_d1)
-    if channel_cfg.dark_rate > 0.0:
-        if setting_b is Action.A and not click_b:
-            click_b = rng_quantum.random() < channel_cfg.dark_rate
-        if setting_c is Action.A and not click_c:
-            click_c = rng_quantum.random() < channel_cfg.dark_rate
-    multi = alice_clicks + int(click_b) + int(click_c) >= 2
-    record = RoundRecord(
-        round_id=round_id,
-        setting_b=setting_b,
-        setting_c=setting_c,
-        outcome_alice=outcome,
-        click_b=click_b,
-        click_c=click_c,
-        multi_count=multi,
-    )
-    return _RoundOutput(record=record, probe=probe)
+    law: OutcomeLaw = {}
+    dark = channel_cfg.dark_rate
+    attacked_options = (False, True) if attack.kind in _SOURCE_ATTACKS else (False,)
+    for attacked in attacked_options:
+        for setting_b, setting_c in _CELLS:
+            if attacked:
+                branches = _source_attack_branches(setting_b, setting_c, attack)
+            else:
+                branches = _photon_branches(setting_b, setting_c, attack, channel_cfg)
+            rows: dict[tuple, float] = {}
+            for p, outcome, source_clicks, click_b, click_c, p_one in branches:
+                for p_b, final_b in _station_branches(setting_b, click_b, dark):
+                    for p_c, final_c in _station_branches(setting_c, click_c, dark):
+                        multi = source_clicks + final_b + final_c >= 2
+                        key = (outcome, final_b, final_c, multi, p_one)
+                        rows[key] = rows.get(key, 0.0) + p * p_b * p_c
+            law[(setting_b, setting_c, attacked)] = tuple(
+                LawRow(prob, *key) for key, prob in rows.items() if prob > 0.0
+            )
+    return law
 
 
 def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -352,25 +410,62 @@ def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(count)]
 
 
-def _eve_measurements(
-    outputs: list[_RoundOutput], rng_eve: np.random.Generator, unsampled_only: bool
+def _draw_rounds(
+    n: int,
+    attack: AttackConfig,
+    channel_cfg: ChannelConfig,
+    rng_bob: np.random.Generator,
+    rng_charlie: np.random.Generator,
+    rng_attackers: np.random.Generator,
+    rng_quantum: np.random.Generator,
+) -> tuple[list[RoundRecord], np.ndarray, np.ndarray]:
+    """Draw n rounds in bulk from the outcome law.
+
+    Each station's coin is one uniform per round (F below 1/2), the
+    source-attack flag another, and the row of the round's table an
+    inverse-CDF lookup on one uniform from the quantum stream.  Returns
+    the records, the ids of the rounds that carry Eve's probe, and her
+    P(guess 1) on each of them.
+    """
+    law = outcome_law(attack, channel_cfg)
+    absorb_b = rng_bob.random(n) >= 0.5
+    absorb_c = rng_charlie.random(n) >= 0.5
+    table = 2 * absorb_b.astype(np.uint8) + absorb_c
+    if attack.kind in _SOURCE_ATTACKS:
+        table += 4 * (rng_attackers.random(n) < attack.p).astype(np.uint8)
+    u = rng_quantum.random(n)
+    rows = np.empty(n, dtype=np.int16)
+    fields: list[tuple] = []
+    p_one: list[float] = []
+    for (setting_b, setting_c, attacked), law_rows in law.items():
+        cdf = np.cumsum([r.probability for r in law_rows])
+        cdf /= cdf[-1]
+        members = np.flatnonzero(table == _CELLS.index((setting_b, setting_c)) + 4 * attacked)
+        rows[members] = len(fields) + np.searchsorted(cdf, u[members], side="right")
+        for r in law_rows:
+            fields.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
+            p_one.append(np.nan if r.p_one is None else r.p_one)
+    records = [RoundRecord(i, *fields[row]) for i, row in enumerate(rows.tolist())]
+    p_one_by_row = np.asarray(p_one)
+    probed = np.flatnonzero(~np.isnan(p_one_by_row)[rows])
+    return records, probed, p_one_by_row[rows[probed]]
+
+
+def _eve_records(
+    records: list[RoundRecord],
+    probed: np.ndarray,
+    p_one: np.ndarray,
+    rng_eve: np.random.Generator,
 ) -> list[EveRecord]:
-    records = []
-    for out in outputs:
-        if out.probe is None:
-            continue
-        r = out.record
-        if unsampled_only and r.sampled:
-            continue
-        guess = eve_extract_bit(out.probe, r.outcome_alice, rng_eve)
-        records.append(
-            EveRecord(
-                round_id=r.round_id,
-                guess=guess,
-                true_bit=canonical_sifted_bit(r.setting_b, r.setting_c),
-            )
-        )
-    return records
+    """Eve's Helstrom guesses on the probed rounds, one uniform each in
+    round order, beside the bit the stations shared."""
+    guesses = rng_eve.random(len(probed)) < p_one
+    out = []
+    for i, guess in zip(probed.tolist(), guesses.tolist()):
+        r = records[i]
+        true_bit = canonical_sifted_bit(r.setting_b, r.setting_c)
+        out.append(EveRecord(round_id=i, guess=int(guess), true_bit=true_bit))
+    return out
 
 
 def run_rounds(
@@ -389,17 +484,11 @@ def run_rounds(
     attack.validate()
     channel_cfg.validate()
     rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, _ = _spawn_streams(seed, 6)
-    outputs = []
-    for round_id in range(n):
-        setting_b = choose_setting(rng_bob)
-        setting_c = choose_setting(rng_charlie)
-        outputs.append(
-            _play_round(
-                round_id, setting_b, setting_c, channel_cfg, attack, rng_attackers, rng_quantum
-            )
-        )
-    eve_records = _eve_measurements(outputs, rng_eve, unsampled_only=False)
-    return SimulationResult(rounds=[o.record for o in outputs], eve_records=eve_records)
+    records, probed, p_one = _draw_rounds(
+        n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
+    )
+    eve_records = _eve_records(records, probed, p_one, rng_eve)
+    return SimulationResult(rounds=records, eve_records=eve_records)
 
 
 _SAMPLE_IDS_PER_PACKET = 8000
@@ -444,22 +533,17 @@ def run_protocol(
     log.send(PartyId.ALICE, PartyId.BOB, BodyType.CONTROL, control_body(ControlOp.INTIMATE))
     log.send(PartyId.BOB, PartyId.ALICE, BodyType.CONTROL, control_body(ControlOp.CONSENT))
 
-    outputs = []
-    for round_id in range(n):
-        setting_b = choose_setting(rng_bob)
-        setting_c = choose_setting(rng_charlie)
-        slot = quantum_slot_body(round_id)
+    records, probed, p_one = _draw_rounds(
+        n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
+    )
+    for r in records:
+        slot = quantum_slot_body(r.round_id)
         log.send(PartyId.ALICE, PartyId.BOB, BodyType.QUANTUM_SLOT, slot)
         log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.QUANTUM_SLOT, slot)
-        out = _play_round(
-            round_id, setting_b, setting_c, channel_cfg, attack, rng_attackers, rng_quantum
-        )
-        announcement = announce_body(round_id, out.record.outcome_alice, out.record.multi_count)
+        announcement = announce_body(r.round_id, r.outcome_alice, r.multi_count)
         log.send(PartyId.ALICE, PartyId.BOB, BodyType.ANNOUNCE, announcement)
         log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.ANNOUNCE, announcement)
-        outputs.append(out)
 
-    records = [o.record for o in outputs]
     sample_size = int(n * f)
     sampled_ids = sorted(rng_sampler.choice(n, size=sample_size, replace=False).tolist())
     for chunk_start in range(0, sample_size, _SAMPLE_IDS_PER_PACKET):
@@ -497,7 +581,8 @@ def run_protocol(
                 r.sifted_bit = canonical_sifted_bit(r.setting_b, r.setting_c)
                 key_round_ids.append(r.round_id)
         key_bob, key_charlie = sift_key(records)
-        eve_records = _eve_measurements(outputs, rng_eve, unsampled_only=True)
+        unsampled = np.array([not records[i].sampled for i in probed.tolist()], dtype=bool)
+        eve_records = _eve_records(records, probed[unsampled], p_one[unsampled], rng_eve)
     return Transcript(
         rounds=records,
         packets=log.packets,
@@ -542,11 +627,4 @@ def transcript_lines(transcript: Transcript) -> list[str]:
 
 def key_to_hex(bits: list[int]) -> str:
     """Bits packed most-significant first, zero-padded to whole octets."""
-    if not bits:
-        return ""
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    width = (len(bits) + 7) // 8
-    value <<= width * 8 - len(bits)
-    return value.to_bytes(width, "big").hex()
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()

@@ -16,12 +16,21 @@ detector when both parties absorb) rather than an approximation of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
+
+#: A stochastic step's possible results, each with its probability given
+#: everything before the step.  Samplers pick one; the exact outcome law
+#: walks them all.
+Branches = Sequence[tuple[float, T]]
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -115,6 +124,25 @@ class EveProbePair:
     theta: float
     collapsed_state: tuple[complex, ...]
 
+    def is_null(self) -> bool:
+        """No probe amplitude survived the collapse, so no measurement on
+        it is defined."""
+        return _norm2(self.collapsed_state) <= _NORM_EPS * _NORM_EPS
+
+
+def pick_branch(branches: Branches[T], rng: np.random.Generator) -> T:
+    """Draw one branch by inverse CDF on a single uniform; a step with one
+    branch draws nothing."""
+    if len(branches) == 1:
+        return branches[0][1]
+    u = rng.random()
+    cumulative = 0.0
+    for p, value in branches[:-1]:
+        cumulative += p
+        if u < cumulative:
+            return value
+    return branches[-1][1]
+
 
 def _norm2(amp: tuple[complex, ...]) -> float:
     total = 0.0
@@ -163,12 +191,13 @@ def attach_eve_probe(state: JointState, theta: float) -> JointState:
     )
 
 
-def apply_party_action(
-    state: JointState, arm: Arm, action: Action, rng: np.random.Generator
-) -> tuple[JointState, bool]:
-    """Apply a station's per-round operation to its arm.
+def party_action_branches(
+    state: JointState, arm: Arm, action: Action
+) -> Branches[tuple[JointState, bool]]:
+    """A station's per-round operation on its arm, as (state, absorbed)
+    branches.
 
-    F reflects without adding a phase, returning the state untouched.  A
+    F reflects without adding a phase, leaving the state untouched.  A
     tests for the photon: the absorption probability is the arm's share of
     the surviving norm, so a second absorber facing the only remaining
     branch fires with certainty.  On a click the other branch is projected
@@ -177,18 +206,26 @@ def apply_party_action(
     without renormalizing.
     """
     if action is Action.F:
-        return state, False
+        return [(1.0, (state, False))]
     total = state.norm2()
     p_absorb = 0.0
     if total > _NORM_EPS:
         p_absorb = min(1.0, _norm2(state.arm_amplitudes(arm)) / total)
     zeros = (0j,) * state.probe_dim
-    absorbed = rng.random() < p_absorb
     if arm is Arm.B:
-        kept = JointState(state.amp_b, zeros) if absorbed else JointState(zeros, state.amp_c)
+        absorbed, passed = JointState(state.amp_b, zeros), JointState(zeros, state.amp_c)
     else:
-        kept = JointState(zeros, state.amp_c) if absorbed else JointState(state.amp_b, zeros)
-    return kept, absorbed
+        absorbed, passed = JointState(zeros, state.amp_c), JointState(state.amp_b, zeros)
+    return [(p_absorb, (absorbed, True)), (1.0 - p_absorb, (passed, False))]
+
+
+def apply_party_action(
+    state: JointState, arm: Arm, action: Action, rng: np.random.Generator
+) -> tuple[JointState, bool]:
+    """Apply a station's per-round operation to its arm: one draw from
+    ``party_action_branches`` when the station absorbs, none when it
+    reflects."""
+    return pick_branch(party_action_branches(state, arm, action), rng)
 
 
 def recombine_at_bs(state: JointState) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
@@ -203,6 +240,61 @@ def recombine_at_bs(state: JointState) -> tuple[tuple[complex, ...], tuple[compl
     return amp_d1, amp_d2
 
 
+def real_click_branches(
+    amp_d1: tuple[complex, ...], amp_d2: tuple[complex, ...], loss_rate: float
+) -> Branches[Outcome]:
+    """Where the photon itself is detected: D1 or D2 with the ports' share
+    of the surviving norm, thinned once by the aggregate channel loss; NULL
+    otherwise, and with certainty when no amplitude reaches the ports."""
+    n1 = _norm2(amp_d1)
+    n2 = _norm2(amp_d2)
+    total = n1 + n2
+    if total <= _NORM_EPS:
+        return [(1.0, Outcome.NULL)]
+    keep = 1.0 - loss_rate
+    return [
+        (keep * n1 / total, Outcome.D1),
+        (keep * n2 / total, Outcome.D2),
+        (loss_rate, Outcome.NULL),
+    ]
+
+
+def dark_click_branches(dark_rate: float) -> Branches[bool]:
+    """Whether one idle detector fires a dark count this round."""
+    if dark_rate > 0.0:
+        return [(dark_rate, True), (1.0 - dark_rate, False)]
+    return [(1.0, False)]
+
+
+def _reported_outcome_branches(real: Outcome, clicked: list[Outcome]) -> Branches[Outcome]:
+    """The reported outcome is the real click when there is one, else the
+    dark click, with a fair tie-break when both ports fired dark."""
+    if real is not Outcome.NULL:
+        return [(1.0, real)]
+    if len(clicked) == 2:
+        return [(0.5, clicked[0]), (0.5, clicked[1])]
+    return [(1.0, clicked[0] if clicked else Outcome.NULL)]
+
+
+def detection_branches(
+    amp_d1: tuple[complex, ...],
+    amp_d2: tuple[complex, ...],
+    loss_rate: float,
+    dark_rate: float,
+) -> Branches[DetectionSample]:
+    """Every read-out ``sample_detection`` can return, with its probability."""
+    branches = []
+    for p_real, real in real_click_branches(amp_d1, amp_d2, loss_rate):
+        idle = [d for d in (Outcome.D1, Outcome.D2) if d is not real]
+        for fires in itertools.product(dark_click_branches(dark_rate), repeat=len(idle)):
+            clicked = [real] if real is not Outcome.NULL else []
+            clicked += [d for d, (_, fired) in zip(idle, fires) if fired]
+            p_clicks = p_real * math.prod(p for p, _ in fires)
+            for p_out, outcome in _reported_outcome_branches(real, clicked):
+                branches.append((p_clicks * p_out, DetectionSample(outcome, len(clicked))))
+    return branches
+
+
 def sample_detection(
     amp_d1: tuple[complex, ...],
     amp_d2: tuple[complex, ...],
@@ -212,36 +304,16 @@ def sample_detection(
 ) -> DetectionSample:
     """Sample which of the source's detectors fires this round.
 
-    The real click lands on D1 or D2 with the ports' share of the surviving
-    norm, thinned once by the aggregate channel loss; NULL otherwise.  Dark
-    counts then fire each idle detector independently.  The reported outcome
-    is the real click when there is one, else a dark click; two clicks flag
-    a multiple-count candidate via ``click_count``.
+    Picks the real click, then a dark count at each idle detector, then
+    the reported outcome, each from the branch lists ``detection_branches``
+    walks.  Two clicks flag a multiple-count candidate via ``click_count``.
     """
-    n1 = _norm2(amp_d1)
-    n2 = _norm2(amp_d2)
-    total = n1 + n2
-    real = Outcome.NULL
-    if total > _NORM_EPS:
-        keep = 1.0 - loss_rate
-        u = rng.random()
-        if u < keep * n1 / total:
-            real = Outcome.D1
-        elif u < keep * (n1 + n2) / total:
-            real = Outcome.D2
+    real = pick_branch(real_click_branches(amp_d1, amp_d2, loss_rate), rng)
     clicked = [real] if real is not Outcome.NULL else []
-    if dark_rate > 0.0:
-        for detector in (Outcome.D1, Outcome.D2):
-            if detector is not real and rng.random() < dark_rate:
-                clicked.append(detector)
-    if real is not Outcome.NULL:
-        outcome = real
-    elif len(clicked) == 1:
-        outcome = clicked[0]
-    elif len(clicked) == 2:
-        outcome = clicked[0] if rng.random() < 0.5 else clicked[1]
-    else:
-        outcome = Outcome.NULL
+    for detector in (Outcome.D1, Outcome.D2):
+        if detector is not real and pick_branch(dark_click_branches(dark_rate), rng):
+            clicked.append(detector)
+    outcome = pick_branch(_reported_outcome_branches(real, clicked), rng)
     return DetectionSample(outcome=outcome, click_count=len(clicked))
 
 
@@ -272,18 +344,22 @@ def _helstrom_positive_projector(theta: float) -> np.ndarray:
     return positive @ positive.conj().T + 0.5 * (null @ null.conj().T)
 
 
-def helstrom_guess(probe: EveProbePair, rng: np.random.Generator) -> int:
-    """Measure a collapsed probe pair with the minimum-error measurement.
-
-    Returns the guessed secret bit.  For a probe conditioned on an
-    anti-correlated D1 round the success probability equals
-    ``helstrom_success_probability(theta)``.
-    """
-    psi = np.asarray(probe.collapsed_state, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm <= _NORM_EPS:
+def helstrom_p_one(probe: EveProbePair) -> float:
+    """Probability that the minimum-error measurement on a collapsed probe
+    pair guesses bit 1.  For a probe conditioned on an anti-correlated D1
+    round the success probability equals
+    ``helstrom_success_probability(theta)``."""
+    if probe.is_null():
         raise ValueError("collapsed probe state is null")
-    psi = psi / norm
+    psi = np.asarray(probe.collapsed_state, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
     effect = _helstrom_positive_projector(probe.theta)
     p_one = float(np.real(psi.conj() @ effect @ psi))
-    return 1 if rng.random() < min(1.0, max(0.0, p_one)) else 0
+    return min(1.0, max(0.0, p_one))
+
+
+def helstrom_guess(probe: EveProbePair, rng: np.random.Generator) -> int:
+    """Measure a collapsed probe pair with the minimum-error measurement
+    and return the guessed secret bit."""
+    p_one = helstrom_p_one(probe)
+    return pick_branch([(p_one, 1), (1.0 - p_one, 0)], rng)

@@ -21,6 +21,36 @@ def assert_within_3sigma(observed: float, expected: float, p: float, m: int, lab
     )
 
 
+def chi_square_p_value(statistic: float, dof: int) -> float:
+    """Upper tail of the chi-square law, by the Wilson-Hilferty cube-root
+    normal approximation (good to a few percent of the tail at dof >= 2)."""
+    if dof < 1:
+        return 1.0
+    scale = 2.0 / (9.0 * dof)
+    z = ((statistic / dof) ** (1.0 / 3.0) - (1.0 - scale)) / math.sqrt(scale)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def assert_matches_law(
+    observed: dict, expected: dict, n: int, label: str = "", alpha: float = 1e-4
+):
+    """Pearson goodness of fit of observed counts over n trials to an exact
+    law given as probabilities per key.  A key the law gives no probability
+    fails outright; keys expected fewer than five times share one bin."""
+    impossible = [key for key, count in observed.items() if count and expected.get(key, 0.0) <= 0.0]
+    assert not impossible, f"{label}: outcomes outside the law: {impossible}"
+    bins = [(observed.get(key, 0), n * p) for key, p in expected.items() if p > 0.0]
+    pooled = [(o, e) for o, e in bins if e < 5.0]
+    bins = [(o, e) for o, e in bins if e >= 5.0]
+    if pooled:
+        bins.append((sum(o for o, _ in pooled), sum(e for _, e in pooled)))
+    statistic = sum((o - e) ** 2 / e for o, e in bins)
+    p_value = chi_square_p_value(statistic, len(bins) - 1)
+    assert p_value > alpha, (
+        f"{label}: chi-square {statistic:.1f} on {len(bins) - 1} dof, p = {p_value:.2e}"
+    )
+
+
 def rng_with(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -187,3 +187,22 @@ class TestConfigHandling:
         echo = format_effective_config(cfg)
         for fld in dataclasses.fields(RunConfig):
             assert f"{fld.name} = " in echo
+
+
+class TestRobustness:
+    def test_null_probe_round_has_no_traceback(self, capsys):
+        # a dark D1 on a lost double reflection under a zero-strength probe
+        # leaves Eve's probe with no amplitude
+        code, _, _ = run_cli(
+            capsys, "simulate", "--attack", "eve", "--theta", "0", "--loss", "0.5",
+            "--dark-rate", "0.1", "--n", "2000",
+        )
+        assert code in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv", [("simulate", "--n", "5"), ("protocol", "--n", "20", "--f", "0.1")]
+    )
+    def test_undersized_sample_aborts(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, *argv, "--output", str(tmp_path / "out.txt"))
+        assert code == 2
+        assert out.strip().splitlines()[-1] == "ABORT reasons=insufficientSample"

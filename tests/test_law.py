@@ -1,0 +1,243 @@
+"""The exact per-round outcome law: normalization, the paper's closed
+forms read off it exactly, and the bulk sampler and the per-round
+primitives checked against it by one goodness-of-fit test."""
+
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import _exact_single_path_merits, assert_matches_law, rng_with
+
+from cqca.analysis import error_rate_theory, visibility_theory
+from cqca.channel import (
+    AttackConfig,
+    AttackKind,
+    AttackTarget,
+    ChannelConfig,
+    FakeStrategy,
+    return_leg,
+    transmit_onward,
+)
+from cqca.metrics import expected_multi_rate, tabulate
+from cqca.parties import choose_setting, outcome_law, run_rounds
+from cqca.photonics import (
+    Action,
+    Arm,
+    Outcome,
+    apply_party_action,
+    emit,
+    helstrom_success_probability,
+    recombine_at_bs,
+    sample_detection,
+)
+
+F, A = Action.F, Action.A
+LOSSY = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+
+
+def _weights(law, attack):
+    """Probability of each table: cells equiprobable, attacked tables with
+    the source attacker's probability."""
+    p = attack.p if any(attacked for _, _, attacked in law) else 0.0
+    return {key: 0.25 * (p if key[2] else 1.0 - p) for key in law}
+
+
+def _probability(law, attack, predicate) -> float:
+    """P(predicate(setting_b, setting_c, row)) over one round."""
+    weights = _weights(law, attack)
+    return sum(
+        weights[key] * row.probability
+        for key, rows in law.items()
+        for row in rows
+        if predicate(key[0], key[1], row)
+    )
+
+
+def _contingency(law, attack) -> dict:
+    """The law over metrics' contingency cells."""
+    weights = _weights(law, attack)
+    cells: dict = {}
+    for (sb, sc, attacked), rows in law.items():
+        for row in rows:
+            cell = (sb, sc, row.outcome, row.click_b, row.click_c, row.multi_count)
+            cells[cell] = cells.get(cell, 0.0) + weights[(sb, sc, attacked)] * row.probability
+    return cells
+
+
+def _conditional(law, sb, sc, outcome) -> float:
+    return sum(r.probability for r in law[(sb, sc, False)] if r.outcome is outcome)
+
+
+def _error_rate(law, attack) -> float:
+    d1 = _probability(law, attack, lambda sb, sc, r: r.outcome is Outcome.D1)
+    corr = _probability(law, attack, lambda sb, sc, r: r.outcome is Outcome.D1 and sb is sc)
+    return corr / d1
+
+
+ATTACKS = [
+    AttackConfig.none(),
+    AttackConfig.eve_probe(0.3),
+    *(
+        AttackConfig.alice_single_path(0.5, strategy, target)
+        for strategy, target in itertools.product(FakeStrategy, AttackTarget)
+    ),
+    AttackConfig.alice_double_path(0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "attack", ATTACKS, ids=lambda a: f"{a.kind.value}-{a.strategy.value}-{a.target.value}"
+)
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+@pytest.mark.parametrize("dark", [0.0, 0.01])
+def test_every_table_sums_to_one(attack, loss, dark):
+    law = outcome_law(attack, ChannelConfig(loss_rate=loss, dark_rate=dark))
+    source = attack.kind in (AttackKind.ALICE_SINGLE_PATH, AttackKind.ALICE_DOUBLE_PATH)
+    assert len(law) == (8 if source else 4)
+    for key, rows in law.items():
+        assert all(r.probability > 0.0 for r in rows)
+        assert math.fsum(r.probability for r in rows) == pytest.approx(1.0, abs=1e-12), key
+
+
+def test_honest_law_is_the_outcome_table():
+    law = outcome_law(AttackConfig.none(), ChannelConfig())
+    assert _conditional(law, F, F, Outcome.D1) == 0.0
+    assert _conditional(law, F, F, Outcome.D2) == 1.0
+    for sb, sc in ((A, F), (F, A)):
+        assert _conditional(law, sb, sc, Outcome.D1) == pytest.approx(0.25, abs=1e-15)
+        assert _conditional(law, sb, sc, Outcome.D2) == pytest.approx(0.25, abs=1e-15)
+        assert _conditional(law, sb, sc, Outcome.NULL) == pytest.approx(0.5, abs=1e-15)
+    assert _conditional(law, A, A, Outcome.NULL) == 1.0
+    # double absorption fires exactly one station detector
+    assert all(r.click_b != r.click_c for r in law[(A, A, False)])
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.4185071162, 0.6, 1.2, math.pi / 2])
+def test_eve_law_reproduces_the_closed_forms(theta):
+    attack = AttackConfig.eve_probe(theta)
+    law = outcome_law(attack, ChannelConfig())
+    n1 = _conditional(law, F, F, Outcome.D1)
+    n2 = _conditional(law, F, F, Outcome.D2)
+    assert (n2 - n1) / (n1 + n2) == pytest.approx(visibility_theory(theta), abs=1e-12)
+    assert _error_rate(law, attack) == pytest.approx(error_rate_theory(theta), abs=1e-12)
+    helstrom = helstrom_success_probability(theta)
+    for (sb, sc), bit in (((A, F), 0), ((F, A), 1)):
+        assert _conditional(law, sb, sc, Outcome.D1) == pytest.approx(0.25, abs=1e-12)
+        (d1_row,) = [r for r in law[(sb, sc, False)] if r.outcome is Outcome.D1]
+        p_correct = d1_row.p_one if bit == 1 else 1.0 - d1_row.p_one
+        assert p_correct == pytest.approx(helstrom, abs=1e-12)
+
+
+@pytest.mark.parametrize("loss,dark", [(0.0, 0.01), (0.0, 0.03), (0.2, 0.01), (0.5, 0.1)])
+def test_law_multi_rate_matches_dark_model(loss, dark):
+    attack = AttackConfig.none()
+    law = outcome_law(attack, ChannelConfig(loss_rate=loss, dark_rate=dark))
+    multi = _probability(law, attack, lambda sb, sc, r: r.multi_count)
+    assert multi == pytest.approx(expected_multi_rate(dark, loss), abs=1e-12)
+
+
+@pytest.mark.parametrize("p,strategy,d1_weight", [
+    *((p, FakeStrategy.RANDOM_QUARTER, Fraction(1, 4)) for p in (0.2, 0.4, 0.8, 1.0)),
+    # at p = 1 the D2-only fake announces no D1 at all, so e is undefined
+    *((p, FakeStrategy.ALWAYS_D2, Fraction(0)) for p in (0.2, 0.4, 0.8)),
+])
+@pytest.mark.parametrize("target", [AttackTarget.RANDOM, AttackTarget.B])
+def test_single_path_law_matches_exact_enumeration(p, strategy, d1_weight, target):
+    attack = AttackConfig.alice_single_path(p, strategy, target)
+    law = outcome_law(attack, ChannelConfig())
+    exact_e, exact_bias = _exact_single_path_merits(
+        Fraction(p), d1_weight, split=target is AttackTarget.RANDOM
+    )
+    if strategy is FakeStrategy.RANDOM_QUARTER:
+        assert exact_e == Fraction(p) / 2
+    assert _error_rate(law, attack) == pytest.approx(float(exact_e), abs=1e-12)
+    biases = []
+    for sb, sc in ((A, F), (F, A)):
+        def in_cell(b, c, r, outcome):
+            return (b, c) == (sb, sc) and r.outcome is outcome
+
+        d1 = _probability(law, attack, lambda b, c, r: in_cell(b, c, r, Outcome.D1))
+        d2 = _probability(law, attack, lambda b, c, r: in_cell(b, c, r, Outcome.D2))
+        biases.append(abs(d1 - d2) / 0.25)
+    assert max(biases) == pytest.approx(float(exact_bias), abs=1e-12)
+
+
+def test_null_probe_row_guesses_a_fair_coin():
+    # a dark D1 on a lost double reflection under a zero-strength probe
+    # leaves no probe amplitude
+    law = outcome_law(AttackConfig.eve_probe(0.0), ChannelConfig(loss_rate=0.5, dark_rate=0.1))
+    d1_rows = [r for r in law[(F, F, False)] if r.outcome is Outcome.D1]
+    assert d1_rows and all(r.p_one == 0.5 for r in d1_rows)
+    result = run_rounds(2_000, AttackConfig.eve_probe(0.0), ChannelConfig(0.5, 0.1), seed=3)
+    ff_d1 = [
+        r.round_id
+        for r in result.rounds
+        if (r.setting_b, r.setting_c, r.outcome_alice) == (F, F, Outcome.D1)
+    ]
+    assert ff_d1 and set(ff_d1) <= {e.round_id for e in result.eve_records}
+
+
+def test_settings_follow_the_station_coins():
+    seed, n = 17, 500
+    result = run_rounds(n, AttackConfig.alice_single_path(0.5), seed=seed)
+    rng_bob, rng_charlie = [
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(seed).spawn(6)[:2]
+    ]
+    # the bulk draw gives the settings one coin per round would
+    assert [r.setting_b for r in result.rounds] == [choose_setting(rng_bob) for _ in range(n)]
+    assert [r.setting_c for r in result.rounds] == [choose_setting(rng_charlie) for _ in range(n)]
+
+
+SAMPLED = [
+    ("honest", AttackConfig.none(), ChannelConfig(), 301),
+    ("eve-0.3", AttackConfig.eve_probe(0.3), ChannelConfig(), 302),
+    ("eve-0.6-lossy", AttackConfig.eve_probe(0.6), LOSSY, 303),
+    ("single-quarter-lossy", AttackConfig.alice_single_path(0.5), LOSSY, 304),
+    ("double-lossy", AttackConfig.alice_double_path(0.5), LOSSY, 305),
+]
+
+
+@pytest.mark.parametrize("label,attack,channel,seed", SAMPLED, ids=[s[0] for s in SAMPLED])
+def test_bulk_sampler_draws_from_the_law(label, attack, channel, seed):
+    n = 40_000
+    result = run_rounds(n, attack, channel, seed=seed)
+    law = outcome_law(attack, channel)
+    assert_matches_law(tabulate(result.rounds), _contingency(law, attack), n, label)
+    if channel.dark_rate == 0.0:
+        # without dark counts every D1 round carries the probe, if any
+        d1 = sum(r.outcome_alice is Outcome.D1 for r in result.rounds)
+        assert len(result.eve_records) == (d1 if attack.kind is AttackKind.EVE_PROBE else 0)
+
+
+def _reference_round(sb, sc, attack, channel, rng):
+    """One unattacked round through the per-round primitives."""
+    state = transmit_onward(emit(), channel, attack, rng)
+    state, absorbed_b = apply_party_action(state, Arm.B, sb, rng)
+    state, absorbed_c = apply_party_action(state, Arm.C, sc, rng)
+    state = return_leg(state)
+    if absorbed_b or absorbed_c:
+        zeros = (0j,) * state.probe_dim
+        amp_d1, amp_d2 = zeros, zeros
+    else:
+        amp_d1, amp_d2 = recombine_at_bs(state)
+    detection = sample_detection(amp_d1, amp_d2, channel.loss_rate, channel.dark_rate, rng)
+    click_b = absorbed_b or (sb is A and rng.random() < channel.dark_rate)
+    click_c = absorbed_c or (sc is A and rng.random() < channel.dark_rate)
+    multi = detection.click_count + click_b + click_c >= 2
+    return (sb, sc, detection.outcome, click_b, click_c, multi)
+
+
+def test_per_round_primitives_follow_the_law():
+    attack, channel = AttackConfig.eve_probe(0.6), LOSSY
+    rng = rng_with(306)
+    n = 20_000
+    cells = [(F, F), (F, A), (A, F), (A, A)]
+    observed = Counter(
+        _reference_round(*cells[int(i)], attack, channel, rng) for i in rng.integers(0, 4, n)
+    )
+    assert_matches_law(observed, _contingency(outcome_law(attack, channel), attack), n, "per-round")

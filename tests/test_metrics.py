@@ -1,6 +1,7 @@
 """Figure-of-merit estimators, channel-rate estimates with their
 enumeration oracles, and the abort policy."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,9 +9,15 @@ import pytest
 
 from conftest import binom_sigma
 
-from cqca.analysis import error_rate_theory, visibility_theory
+from cqca.analysis import (
+    error_from_visibility,
+    error_rate_theory,
+    security_threshold,
+    visibility_theory,
+)
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import (
+    ERROR_RATE_CEILING,
     InsufficientSample,
     MeritReport,
     TolerancePolicy,
@@ -226,6 +233,27 @@ class TestAbortDecision:
         assert abort_decision(report, TolerancePolicy()).abort_reasons == ("lossRate",)
         tolerant = TolerancePolicy(expected_loss=0.2)
         assert abort_decision(report, tolerant).key_produced
+
+    def test_ceiling_is_the_security_threshold(self):
+        assert ERROR_RATE_CEILING == security_threshold()[1]
+        assert TolerancePolicy().error_ceiling == ERROR_RATE_CEILING
+
+    @pytest.mark.parametrize("offset,aborts", [(-1e-4, False), (1e-4, True)])
+    def test_error_rate_gate_at_threshold(self, offset, aborts):
+        report = dataclasses.replace(
+            _theory_report(0.0), error_rate=security_threshold()[1] + offset
+        )
+        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        assert ("errorRate" in reasons) is aborts
+
+    @pytest.mark.parametrize("offset,aborts", [(-1e-4, False), (1e-4, True)])
+    def test_visibility_gate_at_threshold(self, offset, aborts):
+        e = security_threshold()[1] + offset
+        visibility = (1.0 - 2.0 * e) / (1.0 - e)  # inverts error_from_visibility
+        assert error_from_visibility(visibility) == pytest.approx(e, abs=1e-12)
+        report = dataclasses.replace(_theory_report(0.0), visibility=visibility)
+        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        assert ("visibility" in reasons) is aborts
 
 
 class TestReportSerialization:
