@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import AttackConfig, AttackKind, AttackTarget, ChannelConfig, FakeStrategy
+from .channel import AttackConfig, ChannelConfig
 
 _EIG_TOL = 1e-12
 
@@ -184,41 +184,14 @@ def curve_to_csv(points: Sequence[SecurityPoint]) -> str:
 
 
 def theoretical_merits(attack: AttackConfig, channel_cfg: ChannelConfig) -> dict[str, float]:
-    """Expected figures of merit for a configured run, where closed forms
-    (or exact mechanism counts for the source attacks) are available.
+    """Expected figures of merit for a configured run: the sample
+    estimators run on the run's exact outcome law.  A figure with no
+    probability in its conditional cell, such as the error rate when no D1
+    is ever announced, is left out."""
+    from . import metrics, parties  # metrics imports this module
 
-    Single-path announcements: a faked D1 errs whenever the unprobed
-    station reflected, so the error rate among D1 rounds is p/2 under the
-    quarter-rate fake and 0 when D1 is never announced.  The bias equals
-    the per-cell surplus of D2 announcements: the attacked rounds of one
-    anti-correlated cell redistribute their NULL mass into announcements
-    weighted by the strategy, giving p * w when one arm is always probed
-    and p/2 * w under the symmetric split, with w = 1/2 for the
-    quarter-rate fake and w = 1 for the D2-only fake.
-    """
-    merits = {
-        "coincidence_rate": 0.0,
-        "visibility": 1.0,
-        "bias": 0.0,
-        "error_rate": 0.0,
-        "multi_rate": 0.0,
-        "loss_rate": channel_cfg.loss_rate,
-    }
-    kind = attack.kind
-    if kind is AttackKind.EVE_PROBE:
-        if attack.knows_schedule or not channel_cfg.timing_jitter:
-            merits["visibility"] = visibility_theory(attack.theta)
-            merits["error_rate"] = error_rate_theory(attack.theta)
-    elif kind is AttackKind.ALICE_SINGLE_PATH:
-        p_eff = attack.p if attack.target is not AttackTarget.RANDOM else attack.p / 2.0
-        if attack.strategy is FakeStrategy.RANDOM_QUARTER:
-            merits["error_rate"] = attack.p / 2.0
-            merits["bias"] = p_eff * 0.5
-        else:
-            merits["bias"] = p_eff
-    elif kind is AttackKind.ALICE_DOUBLE_PATH:
-        merits["coincidence_rate"] = attack.p
-    return merits
+    table = parties.outcome_table(attack, channel_cfg)
+    return metrics.table_merits(table, table, 1, partial=True)
 
 
 def _check_angle(theta: float) -> None:

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Four subcommands: ``simulate`` runs a statistics-only Monte Carlo and
-prints the figures of merit beside their closed-form expectations,
-``protocol`` runs a full session and writes the transcript plus the sifted
-keys, ``analyze`` tabulates the security curve to CSV, and ``threshold``
-prints the probe-strength and error-rate thresholds.
+prints the figures of merit beside their expectations under the exact
+outcome law, ``protocol`` runs a full session and writes the transcript
+plus the sifted keys, ``analyze`` tabulates the security curve to CSV, and
+``threshold`` prints the probe-strength and error-rate thresholds.
 
 Options may come from flags or from a flat ``key = value`` config file
 (flags win).  Every run echoes its effective configuration to stderr in the
@@ -69,13 +69,7 @@ class RunConfig:
         )
 
     def tolerance_policy(self) -> metrics.TolerancePolicy:
-        return metrics.TolerancePolicy(
-            floor=self.floor,
-            z=self.z,
-            expected_coincidence=self.dark_rate,
-            expected_multi=metrics.expected_multi_rate(self.dark_rate, self.loss),
-            expected_loss=self.loss,
-        )
+        return metrics.TolerancePolicy(floor=self.floor, z=self.z)
 
 
 _FIELD_PARSERS = {
@@ -248,12 +242,7 @@ def _report_payload(cfg: RunConfig, report, verdict, expected) -> str:
     if cfg.format == "json-lines":
         payload = {
             "n": report.n,
-            "kappa": report.coincidence_rate,
-            "visibility": report.visibility,
-            "bias": report.bias,
-            "errorRate": report.error_rate,
-            "r": report.multi_rate,
-            "lambda": report.loss_rate,
+            **{label: getattr(report, key) for key, label in metrics.LABELS},
             "expected": expected,
             "counts": report.counts,
             "verdict": str(verdict),
@@ -278,7 +267,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         report = metrics.compute_merit_report(result.rounds, result.rounds, cfg.n)
     except metrics.InsufficientSample as exc:
         return _abort_insufficient(exc)
-    verdict = metrics.abort_decision(report, cfg.tolerance_policy())
+    verdict = metrics.abort_decision(report, cfg.tolerance_policy(), channel_cfg)
     expected = analysis.theoretical_merits(attack, channel_cfg)
     _emit(_report_payload(cfg, report, verdict, expected), cfg.output)
     if not verdict.key_produced:

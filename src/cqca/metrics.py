@@ -7,13 +7,15 @@ key error rate among D1 announcements.  Two channel figures, the
 multiple-count rate and the loss rate, are estimated from the full
 announcement stream since they need no setting information.  Every
 estimate reads its counts off one contingency table of the rounds over
-settings, outcome, station clicks and the multiple-count flag.
+settings, outcome, station clicks and the multiple-count flag; run on the
+exact outcome law as a table of probabilities (``parties.outcome_table``,
+n = 1), the same estimators give the expected values.
 
 The abort policy gates the cheating signatures (coincidence, bias, multi
-count, loss) by a statistical tolerance around their expected values, and
-gates the smoothly degrading figures (error rate and visibility) by the
-security ceiling on the error rate beyond which no secret key is
-distillable.
+count, loss) by a statistical tolerance around their values under the
+honest law of the run's channel, and gates the smoothly degrading figures
+(error rate and visibility) by the security ceiling on the error rate
+beyond which no secret key is distillable.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .analysis import error_from_visibility, security_threshold
+from .channel import AttackConfig, ChannelConfig
 from .photonics import Action, Outcome
 
 #: Raw-key error rate e* at which the key rate crosses zero; the abort rule
@@ -50,17 +53,13 @@ class Verdict:
 
 @dataclass(frozen=True, slots=True)
 class TolerancePolicy:
-    """Abort tolerances.  ``floor`` is an absolute deviation allowance,
-    ``z`` scales the binomial standard error of each estimate, and the
-    expected_* fields carry the channel-derived baselines the estimates are
-    compared against."""
+    """Abort tolerances: ``floor`` is an absolute deviation allowance, ``z``
+    scales each estimate's standard error, ``error_ceiling`` bounds the error
+    rate.  Baselines come from the honest outcome law of the run's channel."""
 
     floor: float = 0.02
     z: float = 4.0
     error_ceiling: float = ERROR_RATE_CEILING
-    expected_coincidence: float = 0.0
-    expected_multi: float = 0.0
-    expected_loss: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +89,7 @@ def tabulate(rounds: Iterable) -> Counter:
     return Counter(map(_CELL_OF, rounds))
 
 
-def _coincidence_rate(table: Counter) -> float:
+def _coincidence_rate(table: Mapping) -> float:
     cell = both = 0
     for (setting_b, setting_c, _, click_b, click_c, _), k in table.items():
         if setting_b is Action.A and setting_c is Action.A:
@@ -102,7 +101,7 @@ def _coincidence_rate(table: Counter) -> float:
     return both / cell
 
 
-def _visibility(table: Counter) -> float:
+def _visibility(table: Mapping) -> float:
     n1 = n2 = 0
     for (setting_b, setting_c, outcome, *_), k in table.items():
         if setting_b is Action.F and setting_c is Action.F:
@@ -115,7 +114,8 @@ def _visibility(table: Counter) -> float:
     return (n2 - n1) / (n1 + n2)
 
 
-def _bias(table: Counter) -> float:
+def _anti_correlated_cells(table: Mapping) -> list[list]:
+    """[rounds, D1, D2] in each anti-correlated settings cell."""
     cells = {(Action.A, Action.F): [0, 0, 0], (Action.F, Action.A): [0, 0, 0]}
     for (setting_b, setting_c, outcome, *_), k in table.items():
         counts = cells.get((setting_b, setting_c))
@@ -125,13 +125,17 @@ def _bias(table: Counter) -> float:
                 counts[1] += k
             elif outcome is Outcome.D2:
                 counts[2] += k
-    diffs = [abs(n1 - n2) / total for total, n1, n2 in cells.values() if total > 0]
+    return list(cells.values())
+
+
+def _bias(table: Mapping) -> float:
+    diffs = [abs(n1 - n2) / total for total, n1, n2 in _anti_correlated_cells(table) if total > 0]
     if not diffs:
         raise InsufficientSample("no disclosed anti-correlated rounds")
     return max(diffs)
 
 
-def _error_rate(table: Counter) -> float:
+def _error_rate(table: Mapping) -> float:
     d1_rounds = corr = 0
     for (setting_b, setting_c, outcome, *_), k in table.items():
         if outcome is Outcome.D1:
@@ -143,11 +147,13 @@ def _error_rate(table: Counter) -> float:
     return corr / d1_rounds
 
 
-def _multi_and_loss_rates(table: Counter, n: int) -> tuple[float, float]:
+def _null_fraction(table: Mapping, n: float) -> float:
+    return sum(k for cell, k in table.items() if cell[2] is Outcome.NULL) / n
+
+
+def _multi_and_loss_rates(table: Mapping, n: float) -> tuple[float, float]:
     multi = sum(k for cell, k in table.items() if cell[5])
-    nulls = sum(k for cell, k in table.items() if cell[2] is Outcome.NULL)
-    null_fraction = nulls / n
-    loss = min(1.0, max(0.0, 2.0 * null_fraction - 1.0))
+    loss = min(1.0, max(0.0, 2.0 * _null_fraction(table, n) - 1.0))
     return multi / n, loss
 
 
@@ -180,15 +186,16 @@ def estimate_multi_and_loss_rates(rounds: Iterable, n: int) -> tuple[float, floa
     """Channel figures from the full announcement stream.
 
     The multi rate is the fraction of rounds with two or more clicks across
-    all detectors.  The loss estimate inverts the honest NULL law: with
-    aggregate loss L the NULL fraction is (1 + L)/2, so L = 2*null - 1,
-    clamped to [0, 1].
+    all detectors.  The loss estimate inverts the dark-free honest NULL law
+    (1 + L)/2, clamped to [0, 1]; dark clicks announce some NULL rounds, so
+    on a dark-counting channel its honest expectation lies below L.
     """
     return _multi_and_loss_rates(tabulate(rounds), n)
 
 
 def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
-    """Honest multiple-count rate implied by the dark-count model.
+    """Honest multiple-count rate implied by the dark-count model, in
+    closed form: the independent reference the outcome law is tested against.
 
     Each active detector (both source ports always; a station detector only
     when that station absorbs) fires independently with the dark rate when
@@ -220,6 +227,32 @@ def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
 _CELL_COUNTS = {(Action.A, Action.A): "aa", (Action.A, Action.F): "af", (Action.F, Action.A): "fa"}
 
 
+_FIGURES = (
+    ("coincidence_rate", _coincidence_rate),
+    ("visibility", _visibility),
+    ("bias", _bias),
+    ("error_rate", _error_rate),
+)
+
+
+def table_merits(
+    table: Mapping, stream: Mapping, n: float, partial: bool = False
+) -> dict[str, float]:
+    """Every figure of merit read off the contingency tables of the disclosed
+    rounds and of the full stream of n rounds; on tables of probabilities
+    (n = 1) they are expected values.  A figure whose conditional cell is
+    empty raises ``InsufficientSample``, or is left out when ``partial``."""
+    merits = {}
+    for name, estimate in _FIGURES:
+        try:
+            merits[name] = estimate(table)
+        except InsufficientSample:
+            if not partial:
+                raise
+    merits["multi_rate"], merits["loss_rate"] = _multi_and_loss_rates(stream, n)
+    return merits
+
+
 def compute_merit_report(disclosed: Iterable, all_rounds: Iterable, n: int) -> MeritReport:
     """Estimate every figure of merit from a disclosed sample plus the full
     announcement stream, each tabulated once."""
@@ -236,17 +269,7 @@ def compute_merit_report(disclosed: Iterable, all_rounds: Iterable, n: int) -> M
             counts[_CELL_COUNTS[setting_b, setting_c]] += k
         if outcome is Outcome.D1:
             counts["d1"] += k
-    multi_rate, loss_rate = _multi_and_loss_rates(stream, n)
-    return MeritReport(
-        n=n,
-        coincidence_rate=_coincidence_rate(table),
-        visibility=_visibility(table),
-        bias=_bias(table),
-        error_rate=_error_rate(table),
-        multi_rate=multi_rate,
-        loss_rate=loss_rate,
-        counts=counts,
-    )
+    return MeritReport(n=n, counts=counts, **table_merits(table, stream, n))
 
 
 def _binom_sigma(p: float, m: int) -> float:
@@ -255,68 +278,74 @@ def _binom_sigma(p: float, m: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / m)
 
 
-def abort_decision(report: MeritReport, policy: TolerancePolicy) -> Verdict:
+def abort_decision(
+    report: MeritReport, policy: TolerancePolicy, channel_cfg: ChannelConfig = ChannelConfig()
+) -> Verdict:
     """Apply the tolerance policy to a merit report.
 
-    Fails a figure when it deviates from its expected value by more than
-    max(floor, z * binomial sigma); the error rate and the visibility are
-    instead gated by the security ceiling, since they degrade smoothly and
-    stay acceptable as long as a positive key rate survives.
+    Fails a figure when it deviates from its value under the honest law of
+    ``channel_cfg`` by more than max(floor, z * sigma); the error rate and
+    the visibility are instead gated by the security ceiling, since they
+    degrade smoothly and stay acceptable while a positive key rate survives.
     """
-    failures = []
+    from .parties import outcome_table  # parties imports this module
+
+    honest = outcome_table(AttackConfig.none(), channel_cfg)
+    expected = table_merits(honest, honest, 1)
+
+    def deviates(figure: str, sigma: float) -> bool:
+        tolerance = max(policy.floor, policy.z * sigma)
+        return abs(getattr(report, figure) - expected[figure]) > tolerance
+
     counts = report.counts
-    tol = max(
-        policy.floor,
-        policy.z * _binom_sigma(policy.expected_coincidence, counts.get("aa", 0)),
-    )
-    if abs(report.coincidence_rate - policy.expected_coincidence) > tol:
-        failures.append("coincidence")
-    if error_from_visibility(report.visibility) >= policy.error_ceiling:
-        failures.append("visibility")
+    coincidence_sigma = _binom_sigma(expected["coincidence_rate"], counts.get("aa", 0))
+    # A cell's D1 and D2 counts are multinomial: Var((n1 - n2)/m) is
+    # (p1 + p2 - (p1 - p2)^2)/m.  The honest law treats both cells alike.
+    total, n1, n2 = map(sum, zip(*_anti_correlated_cells(honest)))
+    p1, p2 = n1 / total, n2 / total
     m_cell = min(counts.get("af", 0), counts.get("fa", 0))
-    sigma_bias = math.sqrt(2.0 * 0.25 * 0.75 / m_cell) if m_cell > 0 else float("inf")
-    if report.bias > max(policy.floor, policy.z * sigma_bias):
-        failures.append("bias")
-    if report.error_rate >= policy.error_ceiling:
-        failures.append("errorRate")
-    tol = max(policy.floor, policy.z * _binom_sigma(policy.expected_multi, report.n))
-    if abs(report.multi_rate - policy.expected_multi) > tol:
-        failures.append("multiRate")
-    null_expected = (1.0 + policy.expected_loss) / 2.0
-    tol = max(policy.floor, policy.z * 2.0 * _binom_sigma(null_expected, report.n))
-    if abs(report.loss_rate - policy.expected_loss) > tol:
-        failures.append("lossRate")
-    return Verdict(key_produced=not failures, abort_reasons=tuple(failures))
+    bias_sigma = math.sqrt((p1 + p2 - (p1 - p2) ** 2) / m_cell) if m_cell > 0 else math.inf
+    multi_sigma = _binom_sigma(expected["multi_rate"], report.n)
+    # The loss estimate is 2 * (NULL fraction) - 1, twice a binomial rate.
+    loss_sigma = 2.0 * _binom_sigma(_null_fraction(honest, 1), report.n)
+    gates = (
+        ("coincidence", deviates("coincidence_rate", coincidence_sigma)),
+        ("visibility", error_from_visibility(report.visibility) >= policy.error_ceiling),
+        ("bias", deviates("bias", bias_sigma)),
+        ("errorRate", report.error_rate >= policy.error_ceiling),
+        ("multiRate", deviates("multi_rate", multi_sigma)),
+        ("lossRate", deviates("loss_rate", loss_sigma)),
+    )
+    failures = tuple(reason for reason, failed in gates if failed)
+    return Verdict(key_produced=not failures, abort_reasons=failures)
 
 
-CSV_HEADER = "n,kappa,visibility,bias,errorRate,r,lambda,verdict"
+#: Each figure of merit's report field and printed label, in report order.
+LABELS = (
+    ("coincidence_rate", "kappa"),
+    ("visibility", "visibility"),
+    ("bias", "bias"),
+    ("error_rate", "errorRate"),
+    ("multi_rate", "r"),
+    ("loss_rate", "lambda"),
+)
+CSV_HEADER = ",".join(("n", *(label for _, label in LABELS), "verdict"))
 
 
 def report_csv_row(report: MeritReport, verdict: Verdict) -> str:
     verdict_text = "pass" if verdict.key_produced else "abort:" + "+".join(verdict.abort_reasons)
-    return (
-        f"{report.n},{report.coincidence_rate:.12g},{report.visibility:.12g},"
-        f"{report.bias:.12g},{report.error_rate:.12g},{report.multi_rate:.12g},"
-        f"{report.loss_rate:.12g},{verdict_text}"
-    )
+    figures = ",".join(f"{getattr(report, key):.12g}" for key, _ in LABELS)
+    return f"{report.n},{figures},{verdict_text}"
 
 
 def report_text_block(
     report: MeritReport, verdict: Verdict, expected: dict[str, float] | None = None
 ) -> str:
-    """Flat key-value rendering, with expected values beside the estimates
-    when closed forms are available."""
-    rows = [
-        ("kappa", report.coincidence_rate, "coincidence_rate"),
-        ("visibility", report.visibility, "visibility"),
-        ("bias", report.bias, "bias"),
-        ("errorRate", report.error_rate, "error_rate"),
-        ("r", report.multi_rate, "multi_rate"),
-        ("lambda", report.loss_rate, "loss_rate"),
-    ]
+    """Flat key-value rendering, with each expected value given beside its
+    estimate."""
     lines = [f"n = {report.n}"]
-    for label, value, key in rows:
-        line = f"{label} = {value:.6f}"
+    for key, label in LABELS:
+        line = f"{label} = {getattr(report, key):.6f}"
         if expected is not None and key in expected:
             line += f"    (expected {expected[key]:.6f})"
         lines.append(line)

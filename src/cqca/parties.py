@@ -405,6 +405,20 @@ def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
     return law
 
 
+def outcome_table(attack: AttackConfig, channel_cfg: ChannelConfig) -> dict[tuple, float]:
+    """The outcome law as one probability per contingency cell, keyed like
+    ``metrics.tabulate``: every settings cell weighs 1/4, and a source
+    attacker's tables weigh p against 1 - p for the untouched rounds."""
+    p = attack.p if attack.kind in _SOURCE_ATTACKS else 0.0
+    table: dict[tuple, float] = {}
+    for (setting_b, setting_c, attacked), rows in outcome_law(attack, channel_cfg).items():
+        weight = 0.25 * (p if attacked else 1.0 - p)
+        for r in rows:
+            cell = (setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count)
+            table[cell] = table.get(cell, 0.0) + weight * r.probability
+    return table
+
+
 def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(count)]
@@ -500,7 +514,7 @@ def run_protocol(
     attack: AttackConfig = AttackConfig.none(),
     seed: int = 0,
     channel_cfg: ChannelConfig = ChannelConfig(),
-    policy: metrics.TolerancePolicy | None = None,
+    policy: metrics.TolerancePolicy = metrics.TolerancePolicy(),
 ) -> Transcript:
     """Execute a full session and return its transcript.
 
@@ -516,14 +530,6 @@ def run_protocol(
         raise ValueError("test fraction f must lie in (0, 1)")
     attack.validate()
     channel_cfg.validate()
-    if policy is None:
-        policy = metrics.TolerancePolicy(
-            expected_coincidence=channel_cfg.dark_rate,
-            expected_multi=metrics.expected_multi_rate(
-                channel_cfg.dark_rate, channel_cfg.loss_rate
-            ),
-            expected_loss=channel_cfg.loss_rate,
-        )
     rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, rng_sampler = _spawn_streams(
         seed, 6
     )
@@ -569,7 +575,7 @@ def run_protocol(
 
     disclosed = [records[i] for i in sampled_ids]
     report = metrics.compute_merit_report(disclosed, records, n)
-    verdict = metrics.abort_decision(report, policy)
+    verdict = metrics.abort_decision(report, policy, channel_cfg)
 
     key_bob: list[int] = []
     key_charlie: list[int] = []

@@ -38,7 +38,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: factor; an attached probe pair expands it to the 2x2 product space.
 PROBE_DIM_OFF = 1
 PROBE_DIM_ON = 4
-PROBE_LABELS = ("y,y", "y,yp", "yp,y", "yp,yp")
 
 _NORM_EPS = 1e-12
 

@@ -27,6 +27,7 @@ from cqca.analysis import (
     von_neumann_entropy,
 )
 from cqca.channel import AttackConfig, AttackTarget, ChannelConfig, FakeStrategy
+from cqca.metrics import expected_multi_rate
 from cqca.photonics import probe_branch_vectors
 
 # independently computed with a 30-digit arbitrary-precision evaluation
@@ -276,3 +277,44 @@ class TestTheoreticalMerits:
         assert merits["bias"] == pytest.approx(0.4)
         merits = theoretical_merits(AttackConfig.alice_single_path(0.4), ChannelConfig())
         assert merits["error_rate"] == pytest.approx(0.2)
+
+
+class TestMeritsFromTheLaw:
+    """Expected values the estimators read off the exact law, each against
+    an independent closed form."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+    def test_double_path_multi_rate(self, p):
+        # attacked rounds: both stations click on (A,A), the absorbing
+        # station plus half the fabricated announcements on (A,F) and (F,A)
+        merits = theoretical_merits(AttackConfig.alice_double_path(p), ChannelConfig())
+        assert merits["multi_rate"] == pytest.approx(p / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.2, 0.4, 1.0])
+    def test_quarter_fake_visibility(self, p):
+        # attacked (F,F) rounds always return the probe and announce D1 a
+        # quarter of the time
+        merits = theoretical_merits(AttackConfig.alice_single_path(p), ChannelConfig())
+        assert merits["visibility"] == pytest.approx(1.0 - p / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("loss,dark", [(0.0, 0.05), (0.2, 0.01), (0.5, 0.1)])
+    def test_honest_dark_channel(self, loss, dark):
+        merits = theoretical_merits(
+            AttackConfig.none(), ChannelConfig(loss_rate=loss, dark_rate=dark)
+        )
+        # one station click on (A,A); the other fires only by a dark count
+        assert merits["coincidence_rate"] == pytest.approx(dark, abs=1e-12)
+        assert merits["multi_rate"] == pytest.approx(expected_multi_rate(dark, loss), abs=1e-12)
+
+    @pytest.mark.parametrize("loss", [0.05, 0.2, 0.6])
+    def test_dark_free_loss(self, loss):
+        merits = theoretical_merits(AttackConfig.none(), ChannelConfig(loss_rate=loss))
+        assert merits["loss_rate"] == pytest.approx(loss, abs=1e-12)
+
+    def test_undefined_error_rate_is_left_out(self):
+        # the D2-only fake at p = 1 never announces D1
+        merits = theoretical_merits(
+            AttackConfig.alice_single_path(1.0, FakeStrategy.ALWAYS_D2), ChannelConfig()
+        )
+        assert "error_rate" not in merits
+        assert merits["bias"] == pytest.approx(0.5, abs=1e-12)

@@ -12,6 +12,7 @@ from cqca.cli import (
     main,
     parse_config_file,
 )
+from cqca.metrics import expected_multi_rate
 from cqca.parties import line_to_round
 
 
@@ -63,6 +64,15 @@ class TestSimulateCommand:
         assert payload["verdict"] == "KeyProduced"
         assert 0.99 <= payload["visibility"] <= 1.0
 
+    def test_expected_column_follows_dark_counts(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "simulate", "--n", "4000", "--seed", "5", "--dark-rate", "0.05",
+            "--format", "json-lines",
+        )
+        expected = json.loads(out.strip().splitlines()[0])["expected"]
+        assert expected["coincidence_rate"] == pytest.approx(0.05, abs=1e-9)
+        assert expected["multi_rate"] == pytest.approx(expected_multi_rate(0.05), abs=1e-9)
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "simulate", "--n", "4000", "--seed", "9")
         _, second, _ = run_cli(capsys, "simulate", "--n", "4000", "--seed", "9")
@@ -105,6 +115,14 @@ class TestProtocolCommand:
         from cqca.parties import key_to_hex
 
         assert key_to_hex(bits) == values["key_bob_hex"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_honest_lossy_dark_channel_keeps_its_key(self, capsys, tmp_path, seed):
+        code, out, _ = run_cli(
+            capsys, "protocol", "--loss", "0.2", "--dark-rate", "0.01", "--n", "100000",
+            "--seed", str(seed), "--output", str(tmp_path / "t.txt"),
+        )
+        assert code == 0, out
 
     def test_abort_exit_code_and_reason(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -13,6 +13,7 @@ from cqca.analysis import (
     error_from_visibility,
     error_rate_theory,
     security_threshold,
+    theoretical_merits,
     visibility_theory,
 )
 from cqca.channel import AttackConfig, ChannelConfig
@@ -231,8 +232,32 @@ class TestAbortDecision:
             counts={"aa": 2500, "af": 2500, "fa": 2500, "d1": 1250},
         )
         assert abort_decision(report, TolerancePolicy()).abort_reasons == ("lossRate",)
-        tolerant = TolerancePolicy(expected_loss=0.2)
-        assert abort_decision(report, tolerant).key_produced
+        lossy = ChannelConfig(loss_rate=0.2)
+        assert abort_decision(report, TolerancePolicy(), lossy).key_produced
+
+    def test_honest_lossy_dark_expectation_passes(self):
+        # dark clicks announce some rounds that loss left NULL, so the
+        # honest loss estimate expects about 0.176 here, not 0.2
+        channel = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+        n = 100_000
+        merits = theoretical_merits(AttackConfig.none(), channel)
+        report = MeritReport(
+            n=n,
+            **merits,
+            counts={"aa": n // 4, "af": n // 4, "fa": n // 4, "d1": n // 8},
+        )
+        assert abort_decision(report, TolerancePolicy(), channel).abort_reasons == ()
+
+    @pytest.mark.parametrize("scale,aborts", [(0.99, False), (1.01, True)])
+    def test_bias_gate_uses_the_multinomial_sigma(self, scale, aborts):
+        # honest lossless cell: p1 = p2 = 1/4, so Var((n1 - n2)/m) = 1/(2m)
+        report = _theory_report(0.0, n=10_000)
+        m = report.counts["af"]
+        tolerance = 4.0 * math.sqrt(0.5 / m)
+        assert tolerance > TolerancePolicy().floor
+        report = dataclasses.replace(report, bias=scale * tolerance)
+        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        assert reasons == (("bias",) if aborts else ())
 
     def test_ceiling_is_the_security_threshold(self):
         assert ERROR_RATE_CEILING == security_threshold()[1]
