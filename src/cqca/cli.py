@@ -9,7 +9,7 @@ plus the sifted keys, ``analyze`` tabulates the security curve to CSV, and
 Options may come from flags or from a flat ``key = value`` config file
 (flags win).  Every run echoes its effective configuration to stderr in the
 same format, so a run is reproducible from its own output.  Exit codes:
-0 success, 1 usage or configuration error, 2 protocol abort.
+0 success, 1 usage, configuration or file error, 2 protocol abort.
 """
 
 from __future__ import annotations
@@ -206,7 +206,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
-        values.update(parse_config_file(path.read_text()))
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        values.update(parse_config_file(text))
     for key in _FIELD_PARSERS:
         if key == "command":
             continue
@@ -229,11 +233,18 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
     else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n")
+        _write(Path(output), text if text.endswith("\n") else text + "\n")
 
 
 def _report_payload(cfg: RunConfig, report, verdict, expected) -> str:
@@ -289,7 +300,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     except metrics.InsufficientSample as exc:
         return _abort_insufficient(exc)
     out_path = Path(cfg.output) if cfg.output else Path("cqca-transcript.txt")
-    out_path.write_text("\n".join(parties.transcript_lines(transcript)) + "\n")
+    _write(out_path, "\n".join(parties.transcript_lines(transcript)) + "\n")
     print(f"transcript = {out_path}")
     print(f"rounds = {len(transcript.rounds)}")
     print(f"verdict = {transcript.verdict}")
@@ -303,7 +314,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
         f"key_charlie_hex = {parties.key_to_hex(transcript.key_charlie)}",
         "key_round_ids = " + ",".join(str(i) for i in transcript.key_round_ids),
     ]
-    keys_path.write_text("\n".join(key_lines) + "\n")
+    _write(keys_path, "\n".join(key_lines) + "\n")
     print(f"key_bits = {len(transcript.key_bob)}")
     print(f"key_bob_hex = {parties.key_to_hex(transcript.key_bob)}")
     print(f"key_charlie_hex = {parties.key_to_hex(transcript.key_charlie)}")
@@ -338,12 +349,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _build_config(args)
+        print("# effective-config", file=sys.stderr)
+        print(format_effective_config(cfg), file=sys.stderr)
+        return _COMMANDS[cfg.command](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("# effective-config", file=sys.stderr)
-    print(format_effective_config(cfg), file=sys.stderr)
-    return _COMMANDS[cfg.command](cfg)
 
 
 if __name__ == "__main__":

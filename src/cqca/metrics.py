@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .analysis import error_from_visibility, security_threshold
 from .channel import AttackConfig, ChannelConfig
@@ -76,17 +77,21 @@ class MeritReport:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-#: A round's contingency cell: (setting_b, setting_c, outcome_alice,
-#: click_b, click_c, multi_count).
-_CELL_OF = attrgetter(
-    "setting_b", "setting_c", "outcome_alice", "click_b", "click_c", "multi_count"
-)
-
-
 def tabulate(rounds: Iterable) -> Counter:
-    """Count the rounds in each contingency cell, in one pass.  Every
-    estimate below reads its counts off such a table."""
-    return Counter(map(_CELL_OF, rounds))
+    """Count the rounds in each contingency cell (setting_b, setting_c,
+    outcome_alice, click_b, click_c, multi_count): one count over a round
+    table's row ids, folded onto its cells; records are put into a table
+    first.  Every estimate below reads its counts off such a table."""
+    from .parties import RoundTable  # parties imports this module
+
+    if not isinstance(rounds, RoundTable):
+        rounds = RoundTable.from_records(rounds)
+    table = Counter()
+    counts = np.bincount(rounds.row_ids, minlength=len(rounds.cells)).tolist()
+    for cell, k in zip(rounds.cells, counts):
+        if k:
+            table[cell] += k
+    return table
 
 
 def _coincidence_rate(table: Mapping) -> float:

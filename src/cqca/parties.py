@@ -9,7 +9,10 @@ body, and a terminator-plus-checksum footer.
 
 Rounds are drawn in bulk from the exact per-round outcome law
 (``outcome_law``): one small table per settings cell, computed once per
-run by walking every branch of the amplitude model.
+(attack, channel) pair by walking every branch of the amplitude model.
+A run holds its rounds as columns (``RoundTable``): each round's row of
+that law, its sampled flag and its sifted bit.  The packet log is derived
+from the columns when it is read (``PacketStream``).
 
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
@@ -20,10 +23,12 @@ censored transcript.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -165,24 +170,6 @@ def decode_packet(data: bytes) -> HybridPacket:
     return HybridPacket(version, number, origin_id, destination_id, kind, body)
 
 
-class PacketLog:
-    """Orders outgoing packets and numbers them per (origin, destination)."""
-
-    def __init__(self):
-        self.packets: list[HybridPacket] = []
-        self._counters: dict[tuple[PartyId, PartyId], int] = {}
-
-    def send(
-        self, origin: PartyId, destination: PartyId, body_type: BodyType, body: bytes
-    ) -> HybridPacket:
-        key = (origin, destination)
-        number = self._counters.get(key, 0)
-        self._counters[key] = number + 1
-        packet = HybridPacket(VERSION, number, origin, destination, body_type, body)
-        self.packets.append(packet)
-        return packet
-
-
 def quantum_slot_body(round_id: int) -> bytes:
     return struct.pack(">Q", round_id)
 
@@ -214,10 +201,135 @@ class RoundRecord:
     sifted_bit: int | None = None
 
 
+#: A round's contingency cell: (setting_b, setting_c, outcome_alice,
+#: click_b, click_c, multi_count).
+Cell = tuple[Action, Action, Outcome, bool, bool, bool]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RoundTable:
+    """A run's rounds as columns.
+
+    ``row_ids`` gives each round's row in ``cells``, the few contingency
+    cells the run can produce; the other columns hold each round's id, its
+    sampled flag and its sifted bit (-1 for none).  Iterating yields one
+    ``RoundRecord`` per round.
+    """
+
+    row_ids: np.ndarray
+    cells: tuple[Cell, ...]
+    round_ids: np.ndarray
+    sampled: np.ndarray
+    sifted_bits: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[RoundRecord]) -> RoundTable:
+        index: dict[Cell, int] = {}
+        rows, ids, sampled, bits = [], [], [], []
+        for r in records:
+            cell = (r.setting_b, r.setting_c, r.outcome_alice, r.click_b, r.click_c, r.multi_count)
+            rows.append(index.setdefault(cell, len(index)))
+            ids.append(r.round_id)
+            sampled.append(r.sampled)
+            bits.append(-1 if r.sifted_bit is None else r.sifted_bit)
+        return cls(
+            np.array(rows, dtype=np.int16),
+            tuple(index),
+            np.array(ids, dtype=np.int64),
+            np.array(sampled, dtype=bool),
+            np.array(bits, dtype=np.int8),
+        )
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        cells = self.cells
+        columns = (self.round_ids, self.row_ids, self.sampled, self.sifted_bits)
+        for round_id, row, sampled, bit in zip(*(c.tolist() for c in columns)):
+            yield RoundRecord(round_id, *cells[row], sampled, None if bit < 0 else bit)
+
+    def take(self, positions: np.ndarray) -> RoundTable:
+        """The rounds at the given positions."""
+        return RoundTable(
+            self.row_ids[positions],
+            self.cells,
+            self.round_ids[positions],
+            self.sampled[positions],
+            self.sifted_bits[positions],
+        )
+
+    def per_round(self, value: Callable[..., object], dtype) -> np.ndarray:
+        """``value(*cell)`` of every round, evaluated once per cell."""
+        return np.array([value(*cell) for cell in self.cells], dtype=dtype)[self.row_ids]
+
+
+_SAMPLE_IDS_PER_PACKET = 8000
+
+
+class PacketStream:
+    """A session's packet log, derived from its round table on demand.
+
+    Sending order: Charlie's request and Alice's acknowledgement, Alice's
+    intimation to Bob and his consent; per round, its quantum slot to Bob
+    and to Charlie, then Alice's announcement to each; Bob's sample ids in
+    chunks, Charlie's acknowledgement; per sampled round, Bob's and then
+    Charlie's disclosure.  Each (origin, destination) pair numbers its
+    packets from 0, so every number, and the length, has a closed form.
+    """
+
+    __slots__ = ("rounds",)
+
+    def __init__(self, rounds: RoundTable):
+        self.rounds = rounds
+
+    def __len__(self) -> int:
+        s = int(np.count_nonzero(self.rounds.sampled))
+        return 4 + 4 * len(self.rounds) + -(-s // _SAMPLE_IDS_PER_PACKET) + 1 + 2 * s
+
+    def __iter__(self) -> Iterator[HybridPacket]:
+        alice, bob, charlie = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
+        control, disclose = BodyType.CONTROL, BodyType.DISCLOSE
+        rounds, cells = self.rounds, self.rounds.cells
+
+        def packet(number: int, origin: PartyId, destination: PartyId, kind: BodyType, body: bytes):
+            return HybridPacket(VERSION, number, origin, destination, kind, body)
+
+        yield packet(0, charlie, alice, control, control_body(ControlOp.REQUEST))
+        yield packet(0, alice, charlie, control, control_body(ControlOp.ACK))
+        yield packet(0, alice, bob, control, control_body(ControlOp.INTIMATE))
+        yield packet(0, bob, alice, control, control_body(ControlOp.CONSENT))
+        rows = zip(rounds.round_ids.tolist(), rounds.row_ids.tolist())
+        for k, (round_id, row) in enumerate(rows):
+            _, _, outcome, _, _, multi_count = cells[row]
+            slot = quantum_slot_body(round_id)
+            announcement = announce_body(round_id, outcome, multi_count)
+            for number, kind, body in (
+                (1 + 2 * k, BodyType.QUANTUM_SLOT, slot),
+                (2 + 2 * k, BodyType.ANNOUNCE, announcement),
+            ):
+                yield packet(number, alice, bob, kind, body)
+                yield packet(number, alice, charlie, kind, body)
+
+        sampled = rounds.take(np.flatnonzero(rounds.sampled))
+        chunks = range(0, len(sampled), _SAMPLE_IDS_PER_PACKET)
+        for number, start in enumerate(chunks):
+            ids = sampled.round_ids[start : start + _SAMPLE_IDS_PER_PACKET]
+            body = control_body(ControlOp.SAMPLE, ids.astype(">u8").tobytes())
+            yield packet(number, bob, charlie, control, body)
+        yield packet(0, charlie, bob, control, control_body(ControlOp.SAMPLE_OK))
+        rows = zip(sampled.round_ids.tolist(), sampled.row_ids.tolist())
+        for j, (round_id, row) in enumerate(rows):
+            setting_b, setting_c, _, click_b, click_c, _ = cells[row]
+            body_b = disclose_body(round_id, setting_b, click_b)
+            yield packet(len(chunks) + j, bob, charlie, disclose, body_b)
+            yield packet(1 + j, charlie, bob, disclose, disclose_body(round_id, setting_c, click_c))
+
+
 @dataclass(slots=True)
 class Transcript:
-    rounds: list[RoundRecord]
-    packets: list[HybridPacket]
+    rounds: RoundTable
+    packets: PacketStream
     verdict: metrics.Verdict
     report: metrics.MeritReport
     key_bob: list[int]
@@ -230,7 +342,7 @@ class Transcript:
 class SimulationResult:
     """Statistics-only run: all rounds plus the eavesdropper's records."""
 
-    rounds: list[RoundRecord]
+    rounds: RoundTable
     eve_records: list[EveRecord]
 
 
@@ -249,7 +361,19 @@ def canonical_sifted_bit(setting_b: Action, setting_c: Action) -> int | None:
     return None
 
 
-def sift_key(rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
+def _sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
+    """A cell's canonical sifted bit, -1 where it has none."""
+    bit = canonical_sifted_bit(setting_b, setting_c)
+    return -1 if bit is None else bit
+
+
+def _key_rounds(rounds: RoundTable) -> np.ndarray:
+    """Mask of the unsampled D1 rounds, the rounds both stations key on."""
+    d1 = rounds.per_round(lambda _b, _c, outcome, *_: outcome is Outcome.D1, bool)
+    return d1 & ~rounds.sampled
+
+
+def sift_key(rounds: RoundTable | Iterable[RoundRecord]) -> tuple[list[int], list[int]]:
     """Each station's key from its local view only.
 
     A station keeps every unsampled D1 round and maps its own setting
@@ -257,13 +381,12 @@ def sift_key(rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
     Rounds whose settings were secretly correlated yield mismatched bits,
     surfacing as key errors rather than being discarded.
     """
-    key_bob: list[int] = []
-    key_charlie: list[int] = []
-    for r in rounds:
-        if r.outcome_alice is Outcome.D1 and not r.sampled:
-            key_bob.append(0 if r.setting_b is Action.A else 1)
-            key_charlie.append(0 if r.setting_c is Action.F else 1)
-    return key_bob, key_charlie
+    if not isinstance(rounds, RoundTable):
+        rounds = RoundTable.from_records(rounds)
+    keep = _key_rounds(rounds)
+    key_bob = rounds.per_round(lambda setting_b, *_: setting_b is Action.F, np.int8)
+    key_charlie = rounds.per_round(lambda _b, setting_c, *_: setting_c is Action.A, np.int8)
+    return key_bob[keep].tolist(), key_charlie[keep].tolist()
 
 
 #: Settings cells in table order: a round's cell index is 2*[B absorbs] +
@@ -299,7 +422,7 @@ class LawRow:
 #: (setting_b, setting_c, attacked) -> the rows of that table, every one
 #: with positive probability.  ``attacked`` marks the rounds a source
 #: attacker took over; only source attacks have attacked tables.
-OutcomeLaw = dict[tuple[Action, Action, bool], tuple[LawRow, ...]]
+OutcomeLaw = Mapping[tuple[Action, Action, bool], tuple[LawRow, ...]]
 
 
 def _probe_p_one(theta: float, amp_d1: tuple[complex, ...]) -> float:
@@ -373,6 +496,11 @@ def _station_branches(setting: Action, clicked: bool, dark_rate: float) -> Branc
     return [(1.0, clicked)]
 
 
+#: Distinct (attack, channel) pairs whose law and table stay cached.
+_LAW_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
 def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
     """The exact per-round outcome law, walked without random draws.
 
@@ -382,8 +510,9 @@ def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
     with the two-click tie, and dark counts at each absorbing station.
     Branches that end in the same announced outcome, station clicks,
     multiple-count flag and probe guess probability add up into one row.
+    Each (attack, channel) pair is walked once and its law kept read-only.
     """
-    law: OutcomeLaw = {}
+    law = {}
     dark = channel_cfg.dark_rate
     attacked_options = (False, True) if attack.kind in _SOURCE_ATTACKS else (False,)
     for attacked in attacked_options:
@@ -402,21 +531,23 @@ def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
             law[(setting_b, setting_c, attacked)] = tuple(
                 LawRow(prob, *key) for key, prob in rows.items() if prob > 0.0
             )
-    return law
+    return MappingProxyType(law)
 
 
-def outcome_table(attack: AttackConfig, channel_cfg: ChannelConfig) -> dict[tuple, float]:
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def outcome_table(attack: AttackConfig, channel_cfg: ChannelConfig) -> Mapping[Cell, float]:
     """The outcome law as one probability per contingency cell, keyed like
     ``metrics.tabulate``: every settings cell weighs 1/4, and a source
-    attacker's tables weigh p against 1 - p for the untouched rounds."""
+    attacker's tables weigh p against 1 - p for the untouched rounds.
+    Read-only, and computed once per (attack, channel) pair."""
     p = attack.p if attack.kind in _SOURCE_ATTACKS else 0.0
-    table: dict[tuple, float] = {}
+    table: dict[Cell, float] = {}
     for (setting_b, setting_c, attacked), rows in outcome_law(attack, channel_cfg).items():
         weight = 0.25 * (p if attacked else 1.0 - p)
         for r in rows:
             cell = (setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count)
             table[cell] = table.get(cell, 0.0) + weight * r.probability
-    return table
+    return MappingProxyType(table)
 
 
 def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -432,13 +563,13 @@ def _draw_rounds(
     rng_charlie: np.random.Generator,
     rng_attackers: np.random.Generator,
     rng_quantum: np.random.Generator,
-) -> tuple[list[RoundRecord], np.ndarray, np.ndarray]:
+) -> tuple[RoundTable, np.ndarray, np.ndarray]:
     """Draw n rounds in bulk from the outcome law.
 
     Each station's coin is one uniform per round (F below 1/2), the
     source-attack flag another, and the row of the round's table an
     inverse-CDF lookup on one uniform from the quantum stream.  Returns
-    the records, the ids of the rounds that carry Eve's probe, and her
+    the round table, the ids of the rounds that carry Eve's probe, and her
     P(guess 1) on each of them.
     """
     law = outcome_law(attack, channel_cfg)
@@ -449,24 +580,25 @@ def _draw_rounds(
         table += 4 * (rng_attackers.random(n) < attack.p).astype(np.uint8)
     u = rng_quantum.random(n)
     rows = np.empty(n, dtype=np.int16)
-    fields: list[tuple] = []
+    cells: list[Cell] = []
     p_one: list[float] = []
     for (setting_b, setting_c, attacked), law_rows in law.items():
         cdf = np.cumsum([r.probability for r in law_rows])
         cdf /= cdf[-1]
         members = np.flatnonzero(table == _CELLS.index((setting_b, setting_c)) + 4 * attacked)
-        rows[members] = len(fields) + np.searchsorted(cdf, u[members], side="right")
+        rows[members] = len(cells) + np.searchsorted(cdf, u[members], side="right")
         for r in law_rows:
-            fields.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
+            cells.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
             p_one.append(np.nan if r.p_one is None else r.p_one)
-    records = [RoundRecord(i, *fields[row]) for i, row in enumerate(rows.tolist())]
     p_one_by_row = np.asarray(p_one)
     probed = np.flatnonzero(~np.isnan(p_one_by_row)[rows])
-    return records, probed, p_one_by_row[rows[probed]]
+    unsifted = np.full(n, -1, dtype=np.int8)
+    rounds = RoundTable(rows, tuple(cells), np.arange(n), np.zeros(n, dtype=bool), unsifted)
+    return rounds, probed, p_one_by_row[rows[probed]]
 
 
 def _eve_records(
-    records: list[RoundRecord],
+    rounds: RoundTable,
     probed: np.ndarray,
     p_one: np.ndarray,
     rng_eve: np.random.Generator,
@@ -474,12 +606,12 @@ def _eve_records(
     """Eve's Helstrom guesses on the probed rounds, one uniform each in
     round order, beside the bit the stations shared."""
     guesses = rng_eve.random(len(probed)) < p_one
-    out = []
-    for i, guess in zip(probed.tolist(), guesses.tolist()):
-        r = records[i]
-        true_bit = canonical_sifted_bit(r.setting_b, r.setting_c)
-        out.append(EveRecord(round_id=i, guess=int(guess), true_bit=true_bit))
-    return out
+    true_bits = [canonical_sifted_bit(b, c) for b, c, *_ in rounds.cells]
+    rows = rounds.row_ids[probed].tolist()
+    return [
+        EveRecord(i, int(guess), true_bits[row])
+        for i, guess, row in zip(probed.tolist(), guesses.tolist(), rows)
+    ]
 
 
 def run_rounds(
@@ -498,14 +630,11 @@ def run_rounds(
     attack.validate()
     channel_cfg.validate()
     rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, _ = _spawn_streams(seed, 6)
-    records, probed, p_one = _draw_rounds(
+    rounds, probed, p_one = _draw_rounds(
         n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
     )
-    eve_records = _eve_records(records, probed, p_one, rng_eve)
-    return SimulationResult(rounds=records, eve_records=eve_records)
-
-
-_SAMPLE_IDS_PER_PACKET = 8000
+    eve_records = _eve_records(rounds, probed, p_one, rng_eve)
+    return SimulationResult(rounds=rounds, eve_records=eve_records)
 
 
 def run_protocol(
@@ -521,8 +650,9 @@ def run_protocol(
     Runs n rounds with per-round announcements, samples floor(n*f) rounds
     for disclosure, estimates the figures of merit from the disclosed
     sample, and either aborts (empty keys, failing figures named) or sifts
-    the stations' keys from the unsampled D1 rounds.  Deterministic in
-    (n, f, attack, channel, seed).
+    the stations' keys from the unsampled D1 rounds.  The packet log is
+    derived from the rounds when read.  Deterministic in (n, f, attack,
+    channel, seed).
     """
     if n < 1:
         raise ValueError("need at least one round")
@@ -533,48 +663,12 @@ def run_protocol(
     rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, rng_sampler = _spawn_streams(
         seed, 6
     )
-    log = PacketLog()
-    log.send(PartyId.CHARLIE, PartyId.ALICE, BodyType.CONTROL, control_body(ControlOp.REQUEST))
-    log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.CONTROL, control_body(ControlOp.ACK))
-    log.send(PartyId.ALICE, PartyId.BOB, BodyType.CONTROL, control_body(ControlOp.INTIMATE))
-    log.send(PartyId.BOB, PartyId.ALICE, BodyType.CONTROL, control_body(ControlOp.CONSENT))
-
-    records, probed, p_one = _draw_rounds(
+    rounds, probed, p_one = _draw_rounds(
         n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
     )
-    for r in records:
-        slot = quantum_slot_body(r.round_id)
-        log.send(PartyId.ALICE, PartyId.BOB, BodyType.QUANTUM_SLOT, slot)
-        log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.QUANTUM_SLOT, slot)
-        announcement = announce_body(r.round_id, r.outcome_alice, r.multi_count)
-        log.send(PartyId.ALICE, PartyId.BOB, BodyType.ANNOUNCE, announcement)
-        log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.ANNOUNCE, announcement)
-
-    sample_size = int(n * f)
-    sampled_ids = sorted(rng_sampler.choice(n, size=sample_size, replace=False).tolist())
-    for chunk_start in range(0, sample_size, _SAMPLE_IDS_PER_PACKET):
-        chunk = sampled_ids[chunk_start : chunk_start + _SAMPLE_IDS_PER_PACKET]
-        payload = b"".join(struct.pack(">Q", i) for i in chunk)
-        log.send(PartyId.BOB, PartyId.CHARLIE, BodyType.CONTROL, control_body(ControlOp.SAMPLE, payload))
-    log.send(PartyId.CHARLIE, PartyId.BOB, BodyType.CONTROL, control_body(ControlOp.SAMPLE_OK))
-    for i in sampled_ids:
-        r = records[i]
-        r.sampled = True
-        log.send(
-            PartyId.BOB,
-            PartyId.CHARLIE,
-            BodyType.DISCLOSE,
-            disclose_body(i, r.setting_b, r.click_b),
-        )
-        log.send(
-            PartyId.CHARLIE,
-            PartyId.BOB,
-            BodyType.DISCLOSE,
-            disclose_body(i, r.setting_c, r.click_c),
-        )
-
-    disclosed = [records[i] for i in sampled_ids]
-    report = metrics.compute_merit_report(disclosed, records, n)
+    sampled_ids = np.sort(rng_sampler.choice(n, size=int(n * f), replace=False))
+    rounds.sampled[sampled_ids] = True
+    report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
     verdict = metrics.abort_decision(report, policy, channel_cfg)
 
     key_bob: list[int] = []
@@ -582,16 +676,15 @@ def run_protocol(
     key_round_ids: list[int] = []
     eve_records: list[EveRecord] = []
     if verdict.key_produced:
-        for r in records:
-            if r.outcome_alice is Outcome.D1 and not r.sampled:
-                r.sifted_bit = canonical_sifted_bit(r.setting_b, r.setting_c)
-                key_round_ids.append(r.round_id)
-        key_bob, key_charlie = sift_key(records)
-        unsampled = np.array([not records[i].sampled for i in probed.tolist()], dtype=bool)
-        eve_records = _eve_records(records, probed[unsampled], p_one[unsampled], rng_eve)
+        key_ids = np.flatnonzero(_key_rounds(rounds))
+        rounds.sifted_bits[key_ids] = rounds.per_round(_sifted_bit, np.int8)[key_ids]
+        key_round_ids = key_ids.tolist()
+        key_bob, key_charlie = sift_key(rounds)
+        unsampled = ~rounds.sampled[probed]
+        eve_records = _eve_records(rounds, probed[unsampled], p_one[unsampled], rng_eve)
     return Transcript(
-        rounds=records,
-        packets=log.packets,
+        rounds=rounds,
+        packets=PacketStream(rounds),
         verdict=verdict,
         report=report,
         key_bob=key_bob,
@@ -628,7 +721,18 @@ def line_to_round(line: str) -> RoundRecord:
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:
-    return [round_to_line(r) for r in transcript.rounds]
+    """``round_to_line`` of every round, each line built from its round id
+    and one of four line tails per cell: unsampled, sampled, or a key round
+    carrying bit 0 or 1."""
+    rounds = transcript.rounds
+    tails = [
+        round_to_line(RoundRecord(0, *cell, sampled, bit)).split(" ", 1)[1]
+        for cell in rounds.cells
+        for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
+    ]
+    bits = rounds.sifted_bits
+    kinds = 4 * rounds.row_ids.astype(np.intp) + np.where(bits < 0, rounds.sampled, 2 + bits)
+    return [f"{i} {tails[k]}" for i, k in zip(rounds.round_ids.tolist(), kinds.tolist())]
 
 
 def key_to_hex(bits: list[int]) -> str:

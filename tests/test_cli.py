@@ -208,6 +208,29 @@ class TestConfigHandling:
 
 
 class TestRobustness:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "2000"),
+            ("protocol", "--n", "2000"),
+            ("analyze", "--grid-points", "5"),
+            ("threshold",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_exits_one(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert f"error: cannot write {target}: " in err
+        assert "Traceback" not in err and out == ""
+
+    def test_directory_as_config_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path))
+        assert code == 1
+        assert f"error: cannot read {tmp_path}: " in err
+        assert "Traceback" not in err and out == ""
+
     def test_null_probe_round_has_no_traceback(self, capsys):
         # a dark D1 on a lost double reflection under a zero-strength probe
         # leaves Eve's probe with no amplitude

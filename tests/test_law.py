@@ -23,7 +23,7 @@ from cqca.channel import (
     transmit_onward,
 )
 from cqca.metrics import expected_multi_rate, tabulate
-from cqca.parties import choose_setting, outcome_law, run_rounds
+from cqca.parties import choose_setting, outcome_law, outcome_table, run_rounds
 from cqca.photonics import (
     Action,
     Arm,
@@ -101,6 +101,18 @@ def test_every_table_sums_to_one(attack, loss, dark):
     for key, rows in law.items():
         assert all(r.probability > 0.0 for r in rows)
         assert math.fsum(r.probability for r in rows) == pytest.approx(1.0, abs=1e-12), key
+
+
+@pytest.mark.parametrize("walk", [outcome_law, outcome_table], ids=lambda f: f.__name__)
+def test_each_law_is_walked_once_and_read_only(walk):
+    attack, channel = AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+    law = walk(attack, channel)
+    assert walk(AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)) is law
+    key = next(iter(law))
+    with pytest.raises(TypeError):
+        law[key] = law[key]
+    with pytest.raises(TypeError):
+        del law[key]
 
 
 def test_honest_law_is_the_outcome_table():

@@ -1,6 +1,7 @@
 """Protocol-session tests: the packet codec, setting choices, sifting,
 causality of the announcement stream, and transcript determinism."""
 
+import itertools
 import math
 import struct
 
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import assert_within_3sigma, rng_with
 
-from cqca.channel import AttackConfig
+from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
     BodyType,
     ControlOp,
+    MAGIC,
     HybridPacket,
     MalformedPacket,
-    PacketLog,
     PartyId,
     RoundRecord,
+    RoundTable,
     announce_body,
     canonical_sifted_bit,
     choose_setting,
@@ -125,16 +127,35 @@ class TestPacketCodec:
             encode_packet(_packet(body=b"\x00" * 70_000))
 
     def test_packet_log_numbers_per_direction(self):
-        log = PacketLog()
-        log.send(PartyId.ALICE, PartyId.BOB, BodyType.CONTROL, b"")
-        log.send(PartyId.ALICE, PartyId.CHARLIE, BodyType.CONTROL, b"")
-        log.send(PartyId.ALICE, PartyId.BOB, BodyType.CONTROL, b"")
-        numbers = [(p.origin, p.destination, p.packet_number) for p in log.packets]
+        alice, bob, charlie = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
+        packets = itertools.islice(run_protocol(2_000, 0.25, seed=1).packets, 8)
+        numbers = [(p.origin, p.destination, p.packet_number) for p in packets]
         assert numbers == [
-            (PartyId.ALICE, PartyId.BOB, 0),
-            (PartyId.ALICE, PartyId.CHARLIE, 0),
-            (PartyId.ALICE, PartyId.BOB, 1),
+            (charlie, alice, 0),
+            (alice, charlie, 0),
+            (alice, bob, 0),
+            (bob, alice, 0),
+            (alice, bob, 1),
+            (alice, charlie, 1),
+            (alice, bob, 2),
+            (alice, charlie, 2),
         ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.binary(max_size=80))
+    def test_decoding_arbitrary_bytes_raises_only_malformed(self, data):
+        try:
+            decode_packet(data)
+        except MalformedPacket:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(rest=st.binary(max_size=80))
+    def test_decoding_after_a_valid_prefix_raises_only_malformed(self, rest):
+        try:
+            decode_packet(MAGIC + b"\x01" + rest)
+        except MalformedPacket:
+            pass
 
 
 class TestSettingChoice:
@@ -328,3 +349,110 @@ class TestRoundSerialization:
     def test_rejects_malformed_line(self):
         with pytest.raises(ValueError):
             line_to_round("1 2 3")
+
+
+class TestRoundTable:
+    def test_records_round_trip_through_a_table(self):
+        records = [
+            _record(0, Action.A, Action.F, Outcome.D1),
+            _record(5, Action.F, Action.F, Outcome.D2, sampled=True),
+            _record(9, Action.A, Action.F, Outcome.D1),
+        ]
+        records[2].sifted_bit = 0
+        table = RoundTable.from_records(records)
+        assert len(table) == 3 and len(table.cells) == 2
+        assert list(table) == records
+
+    def test_session_rounds_iterate_as_records(self, honest):
+        records = list(honest.rounds)
+        assert len(records) == len(honest.rounds) == 20_000
+        assert [r.round_id for r in records] == list(range(20_000))
+        assert transcript_lines(honest) == [round_to_line(r) for r in records]
+
+
+def _eager_replay(transcript):
+    """The packet log as the session sends it, one packet at a time, each
+    (origin, destination) pair numbering its own packets."""
+    alice, bob, charlie = PartyId.ALICE, PartyId.BOB, PartyId.CHARLIE
+    control = BodyType.CONTROL
+    numbers: dict[tuple, int] = {}
+    packets = []
+
+    def send(origin, destination, body_type, body):
+        number = numbers.get((origin, destination), 0)
+        numbers[(origin, destination)] = number + 1
+        packets.append(HybridPacket(1, number, origin, destination, body_type, body))
+
+    send(charlie, alice, control, control_body(ControlOp.REQUEST))
+    send(alice, charlie, control, control_body(ControlOp.ACK))
+    send(alice, bob, control, control_body(ControlOp.INTIMATE))
+    send(bob, alice, control, control_body(ControlOp.CONSENT))
+    rounds = list(transcript.rounds)
+    for r in rounds:
+        slot = quantum_slot_body(r.round_id)
+        send(alice, bob, BodyType.QUANTUM_SLOT, slot)
+        send(alice, charlie, BodyType.QUANTUM_SLOT, slot)
+        announcement = announce_body(r.round_id, r.outcome_alice, r.multi_count)
+        send(alice, bob, BodyType.ANNOUNCE, announcement)
+        send(alice, charlie, BodyType.ANNOUNCE, announcement)
+    sampled_ids = [r.round_id for r in rounds if r.sampled]
+    for start in range(0, len(sampled_ids), 8000):
+        payload = b"".join(struct.pack(">Q", i) for i in sampled_ids[start : start + 8000])
+        send(bob, charlie, control, control_body(ControlOp.SAMPLE, payload))
+    send(charlie, bob, control, control_body(ControlOp.SAMPLE_OK))
+    for i in sampled_ids:
+        r = rounds[i]
+        send(bob, charlie, BodyType.DISCLOSE, disclose_body(i, r.setting_b, r.click_b))
+        send(charlie, bob, BodyType.DISCLOSE, disclose_body(i, r.setting_c, r.click_c))
+    return packets
+
+
+STREAM_N, STREAM_F = 10_000, 0.85
+STREAM_SESSIONS = {
+    "honest": (AttackConfig.none(), ChannelConfig()),
+    "eve-0.3-lossy": (AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+    "double-1.0": (AttackConfig.alice_double_path(1.0), ChannelConfig()),
+}
+
+
+@pytest.fixture(scope="module", params=list(STREAM_SESSIONS))
+def streamed(request):
+    attack, channel = STREAM_SESSIONS[request.param]
+    # 8,500 sampled rounds: the sample ids take two packets
+    return run_protocol(STREAM_N, STREAM_F, attack, seed=23, channel_cfg=channel)
+
+
+class TestPacketStream:
+    def test_length_is_the_closed_form(self, streamed):
+        n, s = len(streamed.rounds), int(STREAM_N * STREAM_F)
+        expected = 4 + 4 * n + math.ceil(s / 8000) + 1 + 2 * s
+        assert len(streamed.packets) == expected == sum(1 for _ in streamed.packets)
+
+    def test_iterating_twice_gives_equal_streams(self, streamed):
+        assert list(streamed.packets) == list(streamed.packets)
+
+    def test_stream_equals_the_eager_send_order(self, streamed):
+        assert list(streamed.packets) == _eager_replay(streamed)
+
+    def test_announcements_carry_outcome_and_multi_flag(self, streamed):
+        rounds = list(streamed.rounds)
+        announced = 0
+        for packet in streamed.packets:
+            if packet.body_type is BodyType.ANNOUNCE:
+                r = rounds[struct.unpack(">Q", packet.body[:8])[0]]
+                assert packet.body[8:] == r.outcome_alice.value.encode() + bytes([r.multi_count])
+                announced += 1
+        assert announced == 2 * len(rounds)
+
+    def test_disclosures_are_the_sampled_settings_and_clicks(self, streamed):
+        disclosed = [
+            (p.origin, struct.unpack(">Q", p.body[:8])[0], Action(p.body[8:9].decode()), p.body[9])
+            for p in streamed.packets
+            if p.body_type is BodyType.DISCLOSE
+        ]
+        expected = []
+        for r in streamed.rounds:
+            if r.sampled:
+                expected.append((PartyId.BOB, r.round_id, r.setting_b, int(r.click_b)))
+                expected.append((PartyId.CHARLIE, r.round_id, r.setting_c, int(r.click_c)))
+        assert disclosed == expected

@@ -1,6 +1,7 @@
 """Guards on the package's structure that the benchmark harness relies on:
-every module imports on its own, and every function the per-layer tracer
-wraps still exists under its name."""
+every module imports on its own, every function the per-layer tracer
+wraps still exists under its name, and its packet counter reads a
+session's packet log."""
 
 import importlib
 import importlib.util
@@ -36,12 +37,28 @@ def test_module_imports_first_on_its_own(module):
     assert result.returncode == 0, result.stderr
 
 
-def test_traced_functions_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    tracing = _load_tracing()
     assert set(tracing.LAYERS) == set(MODULES)
     for layer, names in tracing.LAYERS.items():
         module = importlib.import_module(f"cqca.{layer}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"{layer}: {missing}"
+
+
+def test_packet_counter_reads_the_derived_stream():
+    from cqca.parties import run_protocol
+
+    tracer = _load_tracing().Tracer()
+    tracer._observe_protocol(run_protocol(2_000, 0.25, seed=1))
+    # 4 set-up controls, 4 packets per round, 1 sample-id packet, the
+    # sample acknowledgement and 2 disclosures per sampled round
+    assert tracer.counters["packets"] == 4 + 4 * 2_000 + 1 + 1 + 2 * 500 == 9_006
+    assert tracer.counters["protocol_rounds"] == 2_000
