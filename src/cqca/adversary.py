@@ -15,27 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
 from .channel import FakeStrategy
 from .photonics import Action, Branches, EveProbePair, Outcome, helstrom_guess, pick_branch
-
-
-class ProbeResult(Enum):
-    RETURNED = "returned"
-    NOT_RETURNED = "not-returned"
-    NOT_APPLICABLE = "n/a"
-
-
-@dataclass(frozen=True, slots=True)
-class AliceAttackState:
-    """What the semihonest source learned and announced on one round."""
-
-    attacked_round: bool
-    probe_result: ProbeResult
-    fake_announcement: Outcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,23 +29,28 @@ class EveRecord:
     one is defined, the bit the stations actually shared."""
 
     round_id: int
-    guess: int | None
+    guess: int
     true_bit: int | None
 
 
-def fake_announcement_branches(strategy: FakeStrategy) -> Branches[Outcome]:
-    """Announcements the single-path attacker fabricates once her photon
-    returned.  RANDOM_QUARTER reproduces the honest conditional law (D1 with
-    probability 1/4, D2 with 3/4); ALWAYS_D2 suppresses D1 at the price of a
-    detectable announcement bias."""
-    if strategy is FakeStrategy.ALWAYS_D2:
-        return [(1.0, Outcome.D2)]
-    return [(0.25, Outcome.D1), (0.75, Outcome.D2)]
+@dataclass(frozen=True, slots=True, eq=False)
+class EveGuesses:
+    """Eve's guesses on the rounds she measured, as columns: each round's
+    id, her guessed bit, and the bit the stations shared (-1 where the
+    round's settings carry none).  Iterating yields one ``EveRecord`` per
+    round."""
 
+    round_ids: np.ndarray
+    guesses: np.ndarray
+    true_bits: np.ndarray
 
-def fake_announcement(strategy: FakeStrategy, rng: np.random.Generator) -> Outcome:
-    """One draw from ``fake_announcement_branches``."""
-    return pick_branch(fake_announcement_branches(strategy), rng)
+    def __len__(self) -> int:
+        return len(self.round_ids)
+
+    def __iter__(self) -> Iterator[EveRecord]:
+        columns = (self.round_ids, self.guesses, self.true_bits)
+        for round_id, guess, bit in zip(*(c.tolist() for c in columns)):
+            yield EveRecord(round_id, guess, None if bit < 0 else bit)
 
 
 def single_path_branches(strategy: FakeStrategy, returned: bool) -> Branches[Outcome]:
@@ -68,23 +58,21 @@ def single_path_branches(strategy: FakeStrategy, returned: bool) -> Branches[Out
     probe photon came back (it returns exactly when the probed station
     reflected).  A non-returned photon was registered by the probed station,
     so the only announcement consistent with a later disclosure is NULL and
-    no key bit arises."""
+    no key bit arises.  Once the photon returned, RANDOM_QUARTER reproduces
+    the honest conditional law (D1 with probability 1/4, D2 with 3/4) and
+    ALWAYS_D2 suppresses D1 at the price of a detectable announcement bias."""
     if not returned:
         return [(1.0, Outcome.NULL)]
-    return fake_announcement_branches(strategy)
+    if strategy is FakeStrategy.ALWAYS_D2:
+        return [(1.0, Outcome.D2)]
+    return [(0.25, Outcome.D1), (0.75, Outcome.D2)]
 
 
-def alice_single_path(
-    strategy: FakeStrategy, returned: bool, rng: np.random.Generator
-) -> tuple[Outcome, AliceAttackState]:
-    """One single-path attacked round, drawn from ``single_path_branches``.
-
-    The attacker learns the probed station's setting either way but stays
-    ignorant of the other station's coin.
-    """
-    announced = pick_branch(single_path_branches(strategy, returned), rng)
-    result = ProbeResult.RETURNED if returned else ProbeResult.NOT_RETURNED
-    return announced, AliceAttackState(True, result, announced)
+def alice_single_path(strategy: FakeStrategy, returned: bool, rng: np.random.Generator) -> Outcome:
+    """The announcement of one single-path attacked round, drawn from
+    ``single_path_branches``.  The attacker learns the probed station's
+    setting either way but stays ignorant of the other station's coin."""
+    return pick_branch(single_path_branches(strategy, returned), rng)
 
 
 def honest_outcome_branches(setting_b: Action, setting_c: Action) -> Branches[Outcome]:
@@ -101,28 +89,17 @@ def honest_outcome_branches(setting_b: Action, setting_c: Action) -> Branches[Ou
     return [(0.25, Outcome.D1), (0.25, Outcome.D2), (0.5, Outcome.NULL)]
 
 
-def honest_outcome_sample(
-    setting_b: Action, setting_c: Action, rng: np.random.Generator
-) -> Outcome:
-    """One draw from ``honest_outcome_branches``.  Used by the double-path
-    attacker to mimic an honest source once she has inferred both
-    settings."""
-    return pick_branch(honest_outcome_branches(setting_b, setting_c), rng)
-
-
-def alice_double_path(
-    setting_b: Action, setting_c: Action, rng: np.random.Generator
-) -> tuple[Outcome, tuple[Action, Action]]:
-    """One double-path attacked round: bare photons down both arms.
+def alice_double_path(setting_b: Action, setting_c: Action, rng: np.random.Generator) -> Outcome:
+    """The announcement of one double-path attacked round: bare photons
+    down both arms.
 
     The return pattern reveals both settings deterministically, so the
     attacker knows every would-be key bit; she then announces an outcome
-    drawn from the honest law for the inferred settings.  Rounds where both
+    drawn from ``honest_outcome_branches`` for those settings.  Rounds where both
     stations absorbed leave clicks at both station detectors, which is the
     signature the coincidence check measures.
     """
-    inferred = (setting_b, setting_c)
-    return honest_outcome_sample(setting_b, setting_c, rng), inferred
+    return pick_branch(honest_outcome_branches(setting_b, setting_c), rng)
 
 
 def eve_extract_bit(
@@ -138,20 +115,20 @@ def eve_extract_bit(
     return helstrom_guess(probe, rng)
 
 
-def empirical_mutual_information(records: list[EveRecord]) -> tuple[float, float, int]:
+def empirical_mutual_information(guesses: EveGuesses) -> tuple[float, float, int]:
     """Plug-in mutual information between the shared bit and the guess.
 
-    Uses the records where both are defined.  Returns (mi, sigma, count)
-    where sigma is a delta-method standard error of the binary-symmetric
-    estimate, floored at 1/count so boundary cases keep a usable tolerance.
+    Uses the rounds where the shared bit is defined.  Returns (mi, sigma,
+    count) where sigma is a delta-method standard error of the
+    binary-symmetric estimate, floored at 1/count so boundary cases keep a
+    usable tolerance.
     """
-    pairs = [(r.true_bit, r.guess) for r in records if r.true_bit is not None and r.guess is not None]
-    m = len(pairs)
+    known = guesses.true_bits >= 0
+    m = int(np.count_nonzero(known))
     if m == 0:
         return 0.0, float("inf"), 0
-    counts = np.zeros((2, 2))
-    for bit, guess in pairs:
-        counts[bit, guess] += 1
+    pairs = 2 * guesses.true_bits[known] + guesses.guesses[known]
+    counts = np.bincount(pairs, minlength=4).reshape(2, 2)
     joint = counts / m
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

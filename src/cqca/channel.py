@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .photonics import JointState, attach_eve_probe
 
 
@@ -101,10 +99,7 @@ class AttackConfig:
 
 
 def transmit_onward(
-    state: JointState,
-    channel_cfg: ChannelConfig,
-    attack: AttackConfig,
-    rng: np.random.Generator | None = None,
+    state: JointState, channel_cfg: ChannelConfig, attack: AttackConfig
 ) -> JointState:
     """Onward leg from the source to the stations.
 
@@ -112,8 +107,7 @@ def transmit_onward(
     can synchronize with: always when she knows the transmission schedule,
     and otherwise only if emissions are not randomly timed.  A probe that
     cannot synchronize abstains rather than guessing slots.  Source-side
-    attacks bypass this hook entirely.  The leg draws no randomness, so ``rng``
-    may be omitted.
+    attacks bypass this hook entirely.
     """
     if attack.kind is AttackKind.EVE_PROBE and (
         attack.knows_schedule or not channel_cfg.timing_jitter

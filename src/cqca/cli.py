@@ -221,6 +221,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, **values)
     if cfg.n < 1:
         raise CliError("n must be positive")
+    if cfg.seed < 0:
+        raise CliError("seed must be non-negative")
     if not 0.0 < cfg.f < 1.0:
         raise CliError("f must lie in (0, 1)")
     if cfg.grid_points < 1:

@@ -23,13 +23,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .analysis import error_from_visibility, security_threshold
 from .channel import AttackConfig, ChannelConfig
 from .photonics import Action, Outcome
+
+if TYPE_CHECKING:
+    from .parties import RoundTable  # parties imports this module
 
 #: Raw-key error rate e* at which the key rate crosses zero; the abort rule
 #: enforces this ceiling on the measured error rate and on the error rate
@@ -77,15 +80,11 @@ class MeritReport:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-def tabulate(rounds: Iterable) -> Counter:
+def tabulate(rounds: RoundTable) -> Counter:
     """Count the rounds in each contingency cell (setting_b, setting_c,
     outcome_alice, click_b, click_c, multi_count): one count over a round
-    table's row ids, folded onto its cells; records are put into a table
-    first.  Every estimate below reads its counts off such a table."""
-    from .parties import RoundTable  # parties imports this module
-
-    if not isinstance(rounds, RoundTable):
-        rounds = RoundTable.from_records(rounds)
+    table's row ids, folded onto its cells.  Every estimate below reads its
+    counts off such a table."""
     table = Counter()
     counts = np.bincount(rounds.row_ids, minlength=len(rounds.cells)).tolist()
     for cell, k in zip(rounds.cells, counts):
@@ -157,45 +156,12 @@ def _null_fraction(table: Mapping, n: float) -> float:
 
 
 def _multi_and_loss_rates(table: Mapping, n: float) -> tuple[float, float]:
+    """The loss estimate inverts the dark-free honest NULL law (1 + L)/2,
+    clamped to [0, 1]; dark clicks announce some NULL rounds, so on a
+    dark-counting channel its honest expectation lies below L."""
     multi = sum(k for cell, k in table.items() if cell[5])
     loss = min(1.0, max(0.0, 2.0 * _null_fraction(table, n) - 1.0))
     return multi / n, loss
-
-
-def estimate_coincidence_rate(sample: Iterable) -> float:
-    """Fraction of disclosed double-absorption rounds with clicks at both
-    station detectors.  Honest expectation: 0 (exactly one click)."""
-    return _coincidence_rate(tabulate(sample))
-
-
-def estimate_visibility(sample: Iterable) -> float:
-    """Interference contrast on disclosed double-reflection rounds:
-    (N_D2 - N_D1) / (N_D1 + N_D2).  Honest expectation: 1."""
-    return _visibility(tabulate(sample))
-
-
-def estimate_bias(sample: Iterable) -> float:
-    """Largest |P(D1|cell) - P(D2|cell)| over the two anti-correlated
-    setting cells, with each probability taken per disclosed cell round so
-    the honest values sit at 1/4 each.  Honest expectation: 0."""
-    return _bias(tabulate(sample))
-
-
-def estimate_error_rate(sample: Iterable) -> float:
-    """Fraction of disclosed D1 rounds whose settings were correlated
-    (both reflect or both absorb).  Honest expectation: 0."""
-    return _error_rate(tabulate(sample))
-
-
-def estimate_multi_and_loss_rates(rounds: Iterable, n: int) -> tuple[float, float]:
-    """Channel figures from the full announcement stream.
-
-    The multi rate is the fraction of rounds with two or more clicks across
-    all detectors.  The loss estimate inverts the dark-free honest NULL law
-    (1 + L)/2, clamped to [0, 1]; dark clicks announce some NULL rounds, so
-    on a dark-counting channel its honest expectation lies below L.
-    """
-    return _multi_and_loss_rates(tabulate(rounds), n)
 
 
 def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
@@ -258,7 +224,7 @@ def table_merits(
     return merits
 
 
-def compute_merit_report(disclosed: Iterable, all_rounds: Iterable, n: int) -> MeritReport:
+def compute_merit_report(disclosed: RoundTable, all_rounds: RoundTable, n: int) -> MeritReport:
     """Estimate every figure of merit from a disclosed sample plus the full
     announcement stream, each tabulated once."""
     table = tabulate(disclosed)

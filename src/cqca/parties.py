@@ -11,8 +11,9 @@ Rounds are drawn in bulk from the exact per-round outcome law
 (``outcome_law``): one small table per settings cell, computed once per
 (attack, channel) pair by walking every branch of the amplitude model.
 A run holds its rounds as columns (``RoundTable``): each round's row of
-that law, its sampled flag and its sifted bit.  The packet log is derived
-from the columns when it is read (``PacketStream``).
+that law, its sampled flag and its sifted bit.  Eve's guesses are columns
+too (``adversary.EveGuesses``).  The packet log is derived from the
+columns when it is read (``PacketStream``).
 
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import metrics
-from .adversary import EveRecord, honest_outcome_branches, single_path_branches
+from .adversary import EveGuesses, honest_outcome_branches, single_path_branches
 from .channel import (
     AttackConfig,
     AttackKind,
@@ -335,7 +336,7 @@ class Transcript:
     key_bob: list[int]
     key_charlie: list[int]
     key_round_ids: list[int]
-    eve_records: list[EveRecord] = field(default_factory=list)
+    eve_records: EveGuesses
 
 
 @dataclass(slots=True)
@@ -343,28 +344,17 @@ class SimulationResult:
     """Statistics-only run: all rounds plus the eavesdropper's records."""
 
     rounds: RoundTable
-    eve_records: list[EveRecord]
+    eve_records: EveGuesses
 
 
-def choose_setting(rng: np.random.Generator) -> Action:
-    """Fair coin over the two station operations."""
-    return Action.F if rng.random() < 0.5 else Action.A
-
-
-def canonical_sifted_bit(setting_b: Action, setting_c: Action) -> int | None:
-    """Key bit implied by a D1 announcement: (A,F) -> 0, (F,A) -> 1,
-    correlated settings carry no agreed bit."""
+def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
+    """Key bit a D1 announcement implies in a cell: (A,F) -> 0, (F,A) -> 1,
+    and -1 where correlated settings carry no agreed bit."""
     if setting_b is Action.A and setting_c is Action.F:
         return 0
     if setting_b is Action.F and setting_c is Action.A:
         return 1
-    return None
-
-
-def _sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
-    """A cell's canonical sifted bit, -1 where it has none."""
-    bit = canonical_sifted_bit(setting_b, setting_c)
-    return -1 if bit is None else bit
+    return -1
 
 
 def _key_rounds(rounds: RoundTable) -> np.ndarray:
@@ -373,7 +363,7 @@ def _key_rounds(rounds: RoundTable) -> np.ndarray:
     return d1 & ~rounds.sampled
 
 
-def sift_key(rounds: RoundTable | Iterable[RoundRecord]) -> tuple[list[int], list[int]]:
+def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
     """Each station's key from its local view only.
 
     A station keeps every unsampled D1 round and maps its own setting
@@ -381,8 +371,6 @@ def sift_key(rounds: RoundTable | Iterable[RoundRecord]) -> tuple[list[int], lis
     Rounds whose settings were secretly correlated yield mismatched bits,
     surfacing as key errors rather than being discarded.
     """
-    if not isinstance(rounds, RoundTable):
-        rounds = RoundTable.from_records(rounds)
     keep = _key_rounds(rounds)
     key_bob = rounds.per_round(lambda setting_b, *_: setting_b is Action.F, np.int8)
     key_charlie = rounds.per_round(lambda _b, setting_c, *_: setting_c is Action.A, np.int8)
@@ -597,21 +585,18 @@ def _draw_rounds(
     return rounds, probed, p_one_by_row[rows[probed]]
 
 
-def _eve_records(
+def _eve_guesses(
     rounds: RoundTable,
     probed: np.ndarray,
     p_one: np.ndarray,
     rng_eve: np.random.Generator,
-) -> list[EveRecord]:
+) -> EveGuesses:
     """Eve's Helstrom guesses on the probed rounds, one uniform each in
     round order, beside the bit the stations shared."""
-    guesses = rng_eve.random(len(probed)) < p_one
-    true_bits = [canonical_sifted_bit(b, c) for b, c, *_ in rounds.cells]
-    rows = rounds.row_ids[probed].tolist()
-    return [
-        EveRecord(i, int(guess), true_bits[row])
-        for i, guess, row in zip(probed.tolist(), guesses.tolist(), rows)
-    ]
+    guesses = (rng_eve.random(len(probed)) < p_one).astype(np.int8)
+    probed_rounds = rounds.take(probed)
+    true_bits = probed_rounds.per_round(canonical_sifted_bit, np.int8)
+    return EveGuesses(probed_rounds.round_ids, guesses, true_bits)
 
 
 def run_rounds(
@@ -633,7 +618,7 @@ def run_rounds(
     rounds, probed, p_one = _draw_rounds(
         n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
     )
-    eve_records = _eve_records(rounds, probed, p_one, rng_eve)
+    eve_records = _eve_guesses(rounds, probed, p_one, rng_eve)
     return SimulationResult(rounds=rounds, eve_records=eve_records)
 
 
@@ -674,14 +659,14 @@ def run_protocol(
     key_bob: list[int] = []
     key_charlie: list[int] = []
     key_round_ids: list[int] = []
-    eve_records: list[EveRecord] = []
+    measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
         key_ids = np.flatnonzero(_key_rounds(rounds))
-        rounds.sifted_bits[key_ids] = rounds.per_round(_sifted_bit, np.int8)[key_ids]
+        rounds.sifted_bits[key_ids] = rounds.per_round(canonical_sifted_bit, np.int8)[key_ids]
         key_round_ids = key_ids.tolist()
         key_bob, key_charlie = sift_key(rounds)
-        unsampled = ~rounds.sampled[probed]
-        eve_records = _eve_records(rounds, probed[unsampled], p_one[unsampled], rng_eve)
+        measured = ~rounds.sampled[probed]
+    eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], rng_eve)
     return Transcript(
         rounds=rounds,
         packets=PacketStream(rounds),

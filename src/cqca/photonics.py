@@ -265,23 +265,18 @@ def dark_click_branches(dark_rate: float) -> Branches[bool]:
     return [(1.0, False)]
 
 
-def _reported_outcome_branches(real: Outcome, clicked: list[Outcome]) -> Branches[Outcome]:
-    """The reported outcome is the real click when there is one, else the
-    dark click, with a fair tie-break when both ports fired dark."""
-    if real is not Outcome.NULL:
-        return [(1.0, real)]
-    if len(clicked) == 2:
-        return [(0.5, clicked[0]), (0.5, clicked[1])]
-    return [(1.0, clicked[0] if clicked else Outcome.NULL)]
-
-
 def detection_branches(
     amp_d1: tuple[complex, ...],
     amp_d2: tuple[complex, ...],
     loss_rate: float,
     dark_rate: float,
 ) -> Branches[DetectionSample]:
-    """Every read-out ``sample_detection`` can return, with its probability."""
+    """Every read-out of the source's detector pair, with its probability.
+
+    The real click comes first, then a dark count at each idle detector.
+    The reported outcome is the real click when there is one, else the
+    dark click, with a fair tie-break when both ports fired dark.
+    """
     branches = []
     for p_real, real in real_click_branches(amp_d1, amp_d2, loss_rate):
         idle = [d for d in (Outcome.D1, Outcome.D2) if d is not real]
@@ -289,8 +284,9 @@ def detection_branches(
             clicked = [real] if real is not Outcome.NULL else []
             clicked += [d for d, (_, fired) in zip(idle, fires) if fired]
             p_clicks = p_real * math.prod(p for p, _ in fires)
-            for p_out, outcome in _reported_outcome_branches(real, clicked):
-                branches.append((p_clicks * p_out, DetectionSample(outcome, len(clicked))))
+            reported = [real] if real is not Outcome.NULL else clicked or [Outcome.NULL]
+            for outcome in reported:
+                branches.append((p_clicks / len(reported), DetectionSample(outcome, len(clicked))))
     return branches
 
 
@@ -301,19 +297,10 @@ def sample_detection(
     dark_rate: float,
     rng: np.random.Generator,
 ) -> DetectionSample:
-    """Sample which of the source's detectors fires this round.
-
-    Picks the real click, then a dark count at each idle detector, then
-    the reported outcome, each from the branch lists ``detection_branches``
-    walks.  Two clicks flag a multiple-count candidate via ``click_count``.
-    """
-    real = pick_branch(real_click_branches(amp_d1, amp_d2, loss_rate), rng)
-    clicked = [real] if real is not Outcome.NULL else []
-    for detector in (Outcome.D1, Outcome.D2):
-        if detector is not real and pick_branch(dark_click_branches(dark_rate), rng):
-            clicked.append(detector)
-    outcome = pick_branch(_reported_outcome_branches(real, clicked), rng)
-    return DetectionSample(outcome=outcome, click_count=len(clicked))
+    """Sample which of the source's detectors fires this round: one draw
+    from ``detection_branches``.  Two clicks flag a multiple-count
+    candidate via ``click_count``."""
+    return pick_branch(detection_branches(amp_d1, amp_d2, loss_rate, dark_rate), rng)
 
 
 def helstrom_success_probability(theta: float) -> float:

@@ -51,6 +51,16 @@ def assert_matches_law(
     )
 
 
+def branch_law(branches) -> dict:
+    """A branch list's total probability per value, zero-probability
+    branches dropped."""
+    law: dict = {}
+    for p, value in branches:
+        if p > 0.0:
+            law[value] = law.get(value, 0.0) + p
+    return law
+
+
 def rng_with(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 

@@ -29,9 +29,7 @@ from cqca.metrics import compute_merit_report
 from cqca.parties import run_protocol, run_rounds
 from cqca.photonics import (
     Action,
-    Arm,
     Outcome,
-    apply_party_action,
     emit,
     recombine_at_bs,
 )

@@ -4,25 +4,23 @@ their measurable signatures, and the probe measurement's information yield."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import _exact_single_path_merits, assert_within_3sigma, binom_sigma, rng_with
+from conftest import _exact_single_path_merits, assert_within_3sigma, branch_law, rng_with
 
 from cqca.adversary import (
-    AliceAttackState,
-    EveRecord,
-    ProbeResult,
-    alice_double_path,
+    EveGuesses,
     alice_single_path,
     empirical_mutual_information,
     eve_extract_bit,
-    fake_announcement,
-    honest_outcome_sample,
+    honest_outcome_branches,
+    single_path_branches,
 )
 from cqca.analysis import binary_entropy, holevo_bound
 from cqca.channel import AttackConfig, AttackTarget, ChannelConfig, FakeStrategy
 from cqca.metrics import compute_merit_report
-from cqca.parties import run_rounds
+from cqca.parties import outcome_law, run_rounds
 from cqca.photonics import (
     Action,
     EveProbePair,
@@ -34,23 +32,18 @@ from cqca.photonics import (
 
 class TestSinglePathAnnouncements:
     def test_not_returned_forces_null(self):
-        rng = rng_with(0)
-        outcome, state = alice_single_path(FakeStrategy.RANDOM_QUARTER, returned=False, rng=rng)
-        assert outcome is Outcome.NULL
-        assert state == AliceAttackState(True, ProbeResult.NOT_RETURNED, Outcome.NULL)
+        for strategy in FakeStrategy:
+            assert single_path_branches(strategy, returned=False) == [(1.0, Outcome.NULL)]
+            assert alice_single_path(strategy, returned=False, rng=rng_with(0)) is Outcome.NULL
 
     def test_random_quarter_frequencies(self):
-        rng = rng_with(1)
-        n = 20_000
-        d1 = sum(fake_announcement(FakeStrategy.RANDOM_QUARTER, rng) is Outcome.D1 for _ in range(n))
-        assert_within_3sigma(d1 / n, 0.25, 0.25, n, "fake D1 rate")
+        branches = single_path_branches(FakeStrategy.RANDOM_QUARTER, returned=True)
+        assert branches == [(0.25, Outcome.D1), (0.75, Outcome.D2)]
 
     def test_always_d2(self):
-        rng = rng_with(2)
-        for _ in range(100):
-            outcome, state = alice_single_path(FakeStrategy.ALWAYS_D2, returned=True, rng=rng)
-            assert outcome is Outcome.D2
-            assert state.probe_result is ProbeResult.RETURNED
+        assert single_path_branches(FakeStrategy.ALWAYS_D2, returned=True) == [(1.0, Outcome.D2)]
+        announced = alice_single_path(FakeStrategy.ALWAYS_D2, returned=True, rng=rng_with(2))
+        assert announced is Outcome.D2
 
 
 class TestSinglePathSignatures:
@@ -124,32 +117,24 @@ class TestSinglePathSignatures:
                 assert bob_bit == charlie_bit
 
 
+SETTINGS = [(Action.F, Action.F), (Action.F, Action.A), (Action.A, Action.F), (Action.A, Action.A)]
+
+
 class TestDoublePath:
     def test_mimic_matches_honest_outcome_law(self):
-        rng = rng_with(3)
-        n = 20_000
-        cases = {
-            (Action.F, Action.F): {Outcome.D2: 1.0},
-            (Action.A, Action.A): {Outcome.NULL: 1.0},
-            (Action.A, Action.F): {Outcome.D1: 0.25, Outcome.D2: 0.25, Outcome.NULL: 0.5},
-        }
-        for settings, law in cases.items():
-            counts = {}
-            for _ in range(n):
-                outcome = honest_outcome_sample(*settings, rng)
-                counts[outcome] = counts.get(outcome, 0) + 1
-            for outcome, expected in law.items():
-                observed = counts.get(outcome, 0) / n
-                if expected in (0.0, 1.0):
-                    assert observed == expected
-                else:
-                    assert_within_3sigma(observed, expected, expected, n, f"{settings}->{outcome}")
+        honest = outcome_law(AttackConfig.none(), ChannelConfig())
+        for settings in SETTINGS:
+            photon_law = branch_law((r.probability, r.outcome) for r in honest[(*settings, False)])
+            mimic = branch_law(honest_outcome_branches(*settings))
+            assert mimic == pytest.approx(photon_law, abs=1e-15), settings
 
     def test_inference_is_deterministic(self):
-        rng = rng_with(4)
-        for settings in ((Action.F, Action.F), (Action.A, Action.F), (Action.F, Action.A)):
-            _, inferred = alice_double_path(*settings, rng)
-            assert inferred == settings
+        # the station clicks of an attacked round, which the attacker sees
+        # as her photons' return pattern, are fixed by the settings
+        law = outcome_law(AttackConfig.alice_double_path(0.5), ChannelConfig())
+        for setting_b, setting_c in SETTINGS:
+            clicks = {(r.click_b, r.click_c) for r in law[(setting_b, setting_c, True)]}
+            assert clicks == {(setting_b is Action.A, setting_c is Action.A)}
 
     def test_double_absorption_rounds_click_both_detectors(self):
         n = 30_000
@@ -175,14 +160,25 @@ class TestEveMeasurement:
         assert eve_extract_bit(probe, Outcome.D1, rng) in (0, 1)
 
     def test_mutual_information_units(self):
-        perfect = [EveRecord(i, i % 2, i % 2) for i in range(400)]
+        ids = np.arange(400)
+        perfect = EveGuesses(ids, ids % 2, ids % 2)
         mi, _, m = empirical_mutual_information(perfect)
         assert m == 400
         assert mi == pytest.approx(1.0, abs=1e-12)
-        independent = [EveRecord(i, (i // 2) % 2, i % 2) for i in range(400)]
+        independent = EveGuesses(ids, (ids // 2) % 2, ids % 2)
         mi, _, _ = empirical_mutual_information(independent)
         assert mi == pytest.approx(0.0, abs=1e-9)
-        assert empirical_mutual_information([])[2] == 0
+        # rounds without a shared bit do not count
+        unkeyed = EveGuesses(ids, ids % 2, np.full(400, -1))
+        assert empirical_mutual_information(unkeyed)[2] == 0
+        assert empirical_mutual_information(EveGuesses(ids[:0], ids[:0], ids[:0]))[2] == 0
+
+    def test_guesses_iterate_as_records(self):
+        result = run_rounds(2_000, AttackConfig.eve_probe(0.3), seed=5)
+        records = list(result.eve_records)
+        assert len(records) == len(result.eve_records) > 0
+        assert all(r.guess in (0, 1) and r.true_bit in (0, 1, None) for r in records)
+        assert [r.round_id for r in records] == result.eve_records.round_ids.tolist()
 
     def test_no_probe_information_at_theta_zero(self):
         result = run_rounds(20_000, AttackConfig.eve_probe(0.0), seed=61)

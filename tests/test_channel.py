@@ -5,56 +5,48 @@ import math
 
 import pytest
 
-from conftest import assert_within_3sigma, rng_with
+from conftest import assert_within_3sigma
 
 from cqca.channel import AttackConfig, AttackKind, ChannelConfig, transmit_onward, return_leg
-from cqca.metrics import estimate_multi_and_loss_rates
+from cqca.metrics import compute_merit_report
 from cqca.parties import run_rounds
 from cqca.photonics import attach_eve_probe, emit
 
 
 class TestTransmitOnward:
     def test_honest_channel_is_identity(self):
-        rng = rng_with(0)
         state = emit()
-        assert transmit_onward(state, ChannelConfig(), AttackConfig.none(), rng) == state
+        assert transmit_onward(state, ChannelConfig(), AttackConfig.none()) == state
 
     def test_probe_attached_when_schedule_known(self):
-        rng = rng_with(1)
         out = transmit_onward(
             emit(),
             ChannelConfig(timing_jitter=True),
             AttackConfig.eve_probe(0.4, knows_schedule=True),
-            rng,
         )
         assert out.probe_dim == 4
 
     def test_probe_attached_without_jitter(self):
-        rng = rng_with(2)
         out = transmit_onward(
             emit(),
             ChannelConfig(timing_jitter=False),
             AttackConfig.eve_probe(0.4, knows_schedule=False),
-            rng,
         )
         assert out.probe_dim == 4
 
     def test_unsynchronized_probe_abstains(self):
-        rng = rng_with(3)
         state = emit()
         out = transmit_onward(
             state,
             ChannelConfig(timing_jitter=True),
             AttackConfig.eve_probe(0.4, knows_schedule=False),
-            rng,
         )
         assert out == state
 
     def test_source_attacks_bypass_hook(self):
-        rng = rng_with(4)
         state = emit()
         for attack in (AttackConfig.alice_single_path(1.0), AttackConfig.alice_double_path(1.0)):
-            assert transmit_onward(state, ChannelConfig(), attack, rng) == state
+            assert transmit_onward(state, ChannelConfig(), attack) == state
 
 
 class TestReturnLeg:
@@ -72,7 +64,7 @@ class TestLossComposition:
         n = 30_000
         loss = 0.05
         result = run_rounds(n, channel_cfg=ChannelConfig(loss_rate=loss), seed=17)
-        _, loss_hat = estimate_multi_and_loss_rates(result.rounds, n)
+        loss_hat = compute_merit_report(result.rounds, result.rounds, n).loss_rate
         # lambda-hat = 2*null - 1 doubles the null-count fluctuation
         sigma = 2.0 * math.sqrt(((1 + loss) / 2) * ((1 - loss) / 2) / n)
         assert abs(loss_hat - loss) <= 3.0 * sigma
@@ -87,7 +79,7 @@ class TestLossComposition:
         )
         d1 = sum(r.outcome_alice.value == "1" for r in attacked.rounds) / n
         assert_within_3sigma(d1, 0.125, 0.125, n, "P(D1) with abstaining probe")
-        assert attacked.eve_records == []
+        assert len(attacked.eve_records) == 0
 
 
 class TestValidation:

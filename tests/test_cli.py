@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, exit codes, config files, the
 effective-config echo, and output formats."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cqca.channel import AttackKind, AttackTarget, FakeStrategy
 from cqca.cli import (
     RunConfig,
     format_effective_config,
@@ -247,3 +253,57 @@ class TestRobustness:
         code, out, _ = run_cli(capsys, *argv, "--output", str(tmp_path / "out.txt"))
         assert code == 2
         assert out.strip().splitlines()[-1] == "ABORT reasons=insufficientSample"
+
+    @pytest.mark.parametrize("command", ["simulate", "protocol"])
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_negative_seed_exits_one(self, capsys, tmp_path, command, spelling):
+        if spelling == "flag":
+            seed_args = ("--seed", "-1")
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("seed = -1\n")
+            seed_args = ("--config", str(config))
+        output = ("--output", str(tmp_path / "out.txt"))
+        code, out, err = run_cli(capsys, command, "--n", "2000", *seed_args, *output)
+        assert code == 1
+        assert "error: seed must be non-negative" in err
+        assert "Traceback" not in err and out == ""
+
+
+def _rate(high: float):
+    return st.one_of(st.sampled_from([0.0, high]), st.floats(0.0, high))
+
+
+@st.composite
+def _run_argv(draw):
+    """``simulate`` or ``protocol`` arguments from across the input space."""
+    command = draw(st.sampled_from(["simulate", "protocol"]))
+    seed = draw(st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**200])))
+    argv = [
+        command,
+        "--n", str(draw(st.integers(1, 2000))),
+        "--seed", str(seed),
+        "--attack", draw(st.sampled_from([k.value for k in AttackKind])),
+        "--theta", repr(draw(_rate(math.pi / 2))),
+        "--p", repr(draw(_rate(1.0))),
+        "--strategy", draw(st.sampled_from([s.value for s in FakeStrategy])),
+        "--target", draw(st.sampled_from([t.value for t in AttackTarget])),
+        "--loss", repr(draw(_rate(0.999))),
+        "--dark-rate", repr(draw(_rate(0.5))),
+        "--timing-jitter" if draw(st.booleans()) else "--no-timing-jitter",
+        "--knows-schedule" if draw(st.booleans()) else "--no-knows-schedule",
+    ]
+    if command == "protocol":
+        argv += ["--f", repr(draw(st.one_of(st.just(1e-3), st.floats(1e-6, 0.999))))]
+    return argv
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=_run_argv())
+def test_run_commands_exit_cleanly(tmp_path_factory, argv):
+    output = tmp_path_factory.mktemp("run") / "out.txt"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--output", str(output)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

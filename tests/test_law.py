@@ -10,8 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _exact_single_path_merits, assert_matches_law, rng_with
+from conftest import _exact_single_path_merits, assert_matches_law, branch_law, rng_with
 
+from cqca.adversary import (
+    alice_double_path,
+    alice_single_path,
+    honest_outcome_branches,
+    single_path_branches,
+)
 from cqca.analysis import error_rate_theory, visibility_theory
 from cqca.channel import (
     AttackConfig,
@@ -23,14 +29,21 @@ from cqca.channel import (
     transmit_onward,
 )
 from cqca.metrics import expected_multi_rate, tabulate
-from cqca.parties import choose_setting, outcome_law, outcome_table, run_rounds
+from cqca.parties import outcome_law, outcome_table, run_rounds
 from cqca.photonics import (
     Action,
     Arm,
+    EveProbePair,
     Outcome,
     apply_party_action,
+    attach_eve_probe,
+    detection_branches,
     emit,
+    helstrom_guess,
+    helstrom_p_one,
     helstrom_success_probability,
+    party_action_branches,
+    probe_branch_vectors,
     recombine_at_bs,
     sample_detection,
 )
@@ -201,8 +214,11 @@ def test_settings_follow_the_station_coins():
         for child in np.random.SeedSequence(seed).spawn(6)[:2]
     ]
     # the bulk draw gives the settings one coin per round would
-    assert [r.setting_b for r in result.rounds] == [choose_setting(rng_bob) for _ in range(n)]
-    assert [r.setting_c for r in result.rounds] == [choose_setting(rng_charlie) for _ in range(n)]
+    def coins(rng):
+        return [F if rng.random() < 0.5 else A for _ in range(n)]
+
+    assert [r.setting_b for r in result.rounds] == coins(rng_bob)
+    assert [r.setting_c for r in result.rounds] == coins(rng_charlie)
 
 
 SAMPLED = [
@@ -228,7 +244,7 @@ def test_bulk_sampler_draws_from_the_law(label, attack, channel, seed):
 
 def _reference_round(sb, sc, attack, channel, rng):
     """One unattacked round through the per-round primitives."""
-    state = transmit_onward(emit(), channel, attack, rng)
+    state = transmit_onward(emit(), channel, attack)
     state, absorbed_b = apply_party_action(state, Arm.B, sb, rng)
     state, absorbed_c = apply_party_action(state, Arm.C, sc, rng)
     state = return_leg(state)
@@ -253,3 +269,38 @@ def test_per_round_primitives_follow_the_law():
         _reference_round(*cells[int(i)], attack, channel, rng) for i in rng.integers(0, 4, n)
     )
     assert_matches_law(observed, _contingency(outcome_law(attack, channel), attack), n, "per-round")
+
+
+_PROBED_FF = recombine_at_bs(attach_eve_probe(emit(), 0.6))
+_PROBE = EveProbePair(0.4, probe_branch_vectors(0.4)[0])
+#: Each per-round sampler as (one draw, the branch list it draws from).
+SAMPLERS = {
+    "apply_party_action": (
+        lambda rng: apply_party_action(emit(), Arm.B, A, rng),
+        party_action_branches(emit(), Arm.B, A),
+    ),
+    "sample_detection": (
+        lambda rng: sample_detection(*_PROBED_FF, 0.2, 0.1, rng),
+        detection_branches(*_PROBED_FF, 0.2, 0.1),
+    ),
+    "helstrom_guess": (
+        lambda rng: helstrom_guess(_PROBE, rng),
+        [(helstrom_p_one(_PROBE), 1), (1.0 - helstrom_p_one(_PROBE), 0)],
+    ),
+    "alice_single_path": (
+        lambda rng: alice_single_path(FakeStrategy.RANDOM_QUARTER, True, rng),
+        single_path_branches(FakeStrategy.RANDOM_QUARTER, True),
+    ),
+    "alice_double_path": (
+        lambda rng: alice_double_path(A, F, rng),
+        honest_outcome_branches(A, F),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_sampler_draws_from_its_branch_list(name):
+    draw, branches = SAMPLERS[name]
+    rng = rng_with(307)
+    n = 4_000
+    assert_matches_law(Counter(draw(rng) for _ in range(n)), branch_law(branches), n, name)

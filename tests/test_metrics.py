@@ -19,26 +19,29 @@ from cqca.analysis import (
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import (
     ERROR_RATE_CEILING,
-    InsufficientSample,
     MeritReport,
     TolerancePolicy,
     abort_decision,
     compute_merit_report,
-    estimate_bias,
-    estimate_coincidence_rate,
-    estimate_error_rate,
-    estimate_multi_and_loss_rates,
-    estimate_visibility,
     expected_multi_rate,
     report_csv_row,
     report_text_block,
+    table_merits,
+    tabulate,
 )
-from cqca.parties import RoundRecord, run_rounds
+from cqca.parties import RoundRecord, RoundTable, run_rounds
 from cqca.photonics import Action, Outcome
 
 
 def _record(sb, sc, outcome, click_b=False, click_c=False, multi=False, rid=0):
     return RoundRecord(rid, sb, sc, outcome, click_b, click_c, multi)
+
+
+def _merits(records, n=None) -> dict:
+    """Every figure the records' table supports; a figure whose conditional
+    cell is empty raised ``InsufficientSample`` and is left out."""
+    table = tabulate(RoundTable.from_records(records))
+    return table_merits(table, table, n or len(records), partial=True)
 
 
 class TestEstimators:
@@ -48,11 +51,10 @@ class TestEstimators:
             _record(Action.A, Action.A, Outcome.NULL, click_b=True),
             _record(Action.F, Action.F, Outcome.D2),
         ]
-        assert estimate_coincidence_rate(sample) == 0.5
+        assert _merits(sample)["coincidence_rate"] == 0.5
 
     def test_coincidence_rate_needs_aa_rounds(self):
-        with pytest.raises(InsufficientSample):
-            estimate_coincidence_rate([_record(Action.F, Action.F, Outcome.D2)])
+        assert "coincidence_rate" not in _merits([_record(Action.F, Action.F, Outcome.D2)])
 
     def test_visibility_contrast(self):
         sample = (
@@ -60,11 +62,10 @@ class TestEstimators:
             + [_record(Action.F, Action.F, Outcome.D1)]
             + [_record(Action.F, Action.F, Outcome.NULL)]  # no click: excluded
         )
-        assert estimate_visibility(sample) == pytest.approx(0.5)
+        assert _merits(sample)["visibility"] == pytest.approx(0.5)
 
     def test_visibility_needs_ff_clicks(self):
-        with pytest.raises(InsufficientSample):
-            estimate_visibility([_record(Action.F, Action.F, Outcome.NULL)])
+        assert "visibility" not in _merits([_record(Action.F, Action.F, Outcome.NULL)])
 
     def test_bias_is_max_over_cells(self):
         sample = (
@@ -74,11 +75,10 @@ class TestEstimators:
             + [_record(Action.F, Action.A, Outcome.D2)]
         )
         # AF cell: |3 - 1| / 4 = 0.5; FA cell: 0
-        assert estimate_bias(sample) == pytest.approx(0.5)
+        assert _merits(sample)["bias"] == pytest.approx(0.5)
 
     def test_bias_needs_anticorrelated_rounds(self):
-        with pytest.raises(InsufficientSample):
-            estimate_bias([_record(Action.F, Action.F, Outcome.D2)])
+        assert "bias" not in _merits([_record(Action.F, Action.F, Outcome.D2)])
 
     def test_error_rate_conditions_on_d1(self):
         sample = [
@@ -88,11 +88,10 @@ class TestEstimators:
             _record(Action.A, Action.A, Outcome.D1),
             _record(Action.F, Action.F, Outcome.D2),  # not D1: ignored
         ]
-        assert estimate_error_rate(sample) == pytest.approx(0.5)
+        assert _merits(sample)["error_rate"] == pytest.approx(0.5)
 
     def test_error_rate_needs_d1_rounds(self):
-        with pytest.raises(InsufficientSample):
-            estimate_error_rate([_record(Action.F, Action.F, Outcome.D2)])
+        assert "error_rate" not in _merits([_record(Action.F, Action.F, Outcome.D2)])
 
     def test_multi_and_loss_on_synthetic_stream(self):
         rounds = (
@@ -100,15 +99,14 @@ class TestEstimators:
             + [_record(Action.F, Action.F, Outcome.D2)]
             + [_record(Action.A, Action.A, Outcome.NULL, click_b=True)] * 2
         )
-        multi, loss = estimate_multi_and_loss_rates(rounds, 4)
-        assert multi == 0.25
-        assert loss == 0.0  # null fraction 1/2 is the honest baseline
+        merits = _merits(rounds, 4)
+        assert merits["multi_rate"] == 0.25
+        assert merits["loss_rate"] == 0.0  # null fraction 1/2 is the honest baseline
 
     def test_loss_estimate_inverts_null_law(self):
         nulls = [_record(Action.A, Action.A, Outcome.NULL)] * 55
         clicks = [_record(Action.F, Action.F, Outcome.D2)] * 45
-        _, loss = estimate_multi_and_loss_rates(nulls + clicks, 100)
-        assert loss == pytest.approx(0.1, abs=1e-12)
+        assert _merits(nulls + clicks, 100)["loss_rate"] == pytest.approx(0.1, abs=1e-12)
 
 
 class TestChannelRateEstimates:

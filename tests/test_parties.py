@@ -1,5 +1,5 @@
-"""Protocol-session tests: the packet codec, setting choices, sifting,
-causality of the announcement stream, and transcript determinism."""
+"""Protocol-session tests: the packet codec, sifting, causality of the
+announcement stream, and transcript determinism."""
 
 import itertools
 import math
@@ -8,8 +8,6 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from conftest import assert_within_3sigma, rng_with
 
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
@@ -24,7 +22,6 @@ from cqca.parties import (
     RoundTable,
     announce_body,
     canonical_sifted_bit,
-    choose_setting,
     control_body,
     decode_packet,
     disclose_body,
@@ -158,39 +155,20 @@ class TestPacketCodec:
             pass
 
 
-class TestSettingChoice:
-    def test_deterministic_for_a_seed(self):
-        first = [choose_setting(rng_with(99)) for _ in range(1)]
-        for _ in range(3):
-            assert [choose_setting(rng_with(99))] == first
-
-    def test_fair_coin(self):
-        rng = rng_with(14)
-        n = 20_000
-        f_count = sum(choose_setting(rng) is Action.F for _ in range(n))
-        assert_within_3sigma(f_count / n, 0.5, 0.5, n, "P(F)")
-
-    def test_streams_independent(self):
-        rng_a, rng_b = rng_with(15), rng_with(16)
-        n = 10_000
-        xs = [1 if choose_setting(rng_a) is Action.F else 0 for _ in range(n)]
-        ys = [1 if choose_setting(rng_b) is Action.F else 0 for _ in range(n)]
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / n
-        corr = cov / math.sqrt(mean_x * (1 - mean_x) * mean_y * (1 - mean_y))
-        assert abs(corr) < 3.0 / math.sqrt(n)
-
-
 def _record(rid, sb, sc, outcome, sampled=False):
     return RoundRecord(rid, sb, sc, outcome, False, False, False, sampled)
+
+
+def _sift(records):
+    return sift_key(RoundTable.from_records(records))
 
 
 class TestSifting:
     def test_anticorrelated_conventions(self):
         assert canonical_sifted_bit(Action.A, Action.F) == 0
         assert canonical_sifted_bit(Action.F, Action.A) == 1
-        assert canonical_sifted_bit(Action.F, Action.F) is None
+        assert canonical_sifted_bit(Action.F, Action.F) == -1
+        assert canonical_sifted_bit(Action.A, Action.A) == -1
 
     def test_local_views_agree_on_anticorrelated_rounds(self):
         rounds = [
@@ -198,19 +176,19 @@ class TestSifting:
             _record(1, Action.F, Action.A, Outcome.D1),
             _record(2, Action.A, Action.F, Outcome.D2),  # not D1: dropped
         ]
-        assert sift_key(rounds) == ([0, 1], [0, 1])
+        assert _sift(rounds) == ([0, 1], [0, 1])
 
     def test_correlated_d1_round_counts_as_key_error(self):
         rounds = [_record(0, Action.F, Action.F, Outcome.D1)]
-        key_bob, key_charlie = sift_key(rounds)
+        key_bob, key_charlie = _sift(rounds)
         assert key_bob == [1] and key_charlie == [0]
 
     def test_sampled_rounds_excluded(self):
         rounds = [_record(0, Action.A, Action.F, Outcome.D1, sampled=True)]
-        assert sift_key(rounds) == ([], [])
+        assert _sift(rounds) == ([], [])
 
     def test_no_d1_rounds_vacuous(self):
-        assert sift_key([_record(0, Action.F, Action.F, Outcome.D2)]) == ([], [])
+        assert _sift([_record(0, Action.F, Action.F, Outcome.D2)]) == ([], [])
 
 
 class TestKeyHex:

@@ -1,5 +1,6 @@
 """Amplitude-model tests: emission, probe attachment, collapse, the beam
-splitter, detection sampling, and the probe discrimination measurement."""
+splitter, detection, and the probe discrimination measurement, each
+checked exactly on its branch list."""
 
 import cmath
 import math
@@ -9,22 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_3sigma, rng_with
+from conftest import branch_law, rng_with
 
 from cqca.photonics import (
     Action,
     Arm,
+    DetectionSample,
     EveProbePair,
     JointState,
     Outcome,
     apply_party_action,
     attach_eve_probe,
+    detection_branches,
     emit,
     helstrom_guess,
+    helstrom_p_one,
     helstrom_success_probability,
+    party_action_branches,
     probe_branch_vectors,
     recombine_at_bs,
-    sample_detection,
 )
 
 
@@ -95,6 +99,17 @@ class TestProbeAttachment:
             attach_eve_probe(state, 0.4)
 
 
+def _absorption_law(first: Arm, second: Arm) -> dict:
+    """Law of (B absorbed, C absorbed) when both stations absorb, testing
+    ``first`` then ``second``."""
+    branches = []
+    for p1, (state, absorbed_1) in party_action_branches(emit(), first, Action.A):
+        for p2, (_, absorbed_2) in party_action_branches(state, second, Action.A):
+            absorbed = {first: absorbed_1, second: absorbed_2}
+            branches.append((p1 * p2, (absorbed[Arm.B], absorbed[Arm.C])))
+    return branch_law(branches)
+
+
 class TestPartyAction:
     def test_reflect_is_identity(self):
         rng = rng_with(0)
@@ -104,45 +119,20 @@ class TestPartyAction:
         assert after == state
 
     def test_absorption_probability_half_on_fresh_state(self):
-        rng = rng_with(5)
-        n = 20_000
-        absorbed = sum(
-            apply_party_action(emit(), Arm.B, Action.A, rng)[1] for _ in range(n)
-        )
-        assert_within_3sigma(absorbed / n, 0.5, 0.5, n, "P(absorb)")
+        branches = party_action_branches(emit(), Arm.B, Action.A)
+        assert [(p, absorbed) for p, (_, absorbed) in branches] == [(0.5, True), (0.5, False)]
 
     def test_negative_test_zeroes_arm_without_renormalizing(self):
-        rng = rng_with(1)
-        for _ in range(50):
-            state, absorbed = apply_party_action(emit(), Arm.B, Action.A, rng)
-            if not absorbed:
-                assert all(z == 0 for z in state.amp_b)
-                assert state.norm2() == pytest.approx(0.5, abs=1e-12)
+        (_, (state, absorbed)) = party_action_branches(emit(), Arm.B, Action.A)[1]
+        assert not absorbed
+        assert all(z == 0 for z in state.amp_b)
+        assert state.norm2() == pytest.approx(0.5, abs=1e-12)
 
     def test_both_absorbers_fire_exactly_once(self):
-        rng = rng_with(9)
-        for _ in range(5_000):
-            state = emit()
-            state, absorbed_b = apply_party_action(state, Arm.B, Action.A, rng)
-            state, absorbed_c = apply_party_action(state, Arm.C, Action.A, rng)
-            assert absorbed_b != absorbed_c  # one and only one detector clicks
+        assert _absorption_law(Arm.B, Arm.C) == {(True, False): 0.5, (False, True): 0.5}
 
     def test_absorption_order_is_observationally_irrelevant(self):
-        n = 20_000
-        counts = {}
-        for label, order in (("bc", (Arm.B, Arm.C)), ("cb", (Arm.C, Arm.B))):
-            rng = rng_with(33)
-            hits_b = 0
-            for _ in range(n):
-                state = emit()
-                absorbed = {}
-                for arm in order:
-                    state, absorbed[arm] = apply_party_action(state, arm, Action.A, rng)
-                assert absorbed[Arm.B] != absorbed[Arm.C]
-                hits_b += absorbed[Arm.B]
-            counts[label] = hits_b / n
-        assert_within_3sigma(counts["bc"], 0.5, 0.5, n, "P(DB), B first")
-        assert_within_3sigma(counts["cb"], 0.5, 0.5, n, "P(DB), C first")
+        assert _absorption_law(Arm.B, Arm.C) == _absorption_law(Arm.C, Arm.B)
 
 
 def _random_state(rng) -> JointState:
@@ -211,57 +201,34 @@ def test_recombination_conserves_norm_property(dim_choice, raw):
 
 class TestDetectionSampling:
     def test_certain_event(self):
-        rng = rng_with(2)
-        for _ in range(100):
-            sample = sample_detection((0j,), (1 + 0j,), 0.0, 0.0, rng)
-            assert sample.outcome is Outcome.D2
-            assert sample.click_count == 1
+        law = branch_law(detection_branches((0j,), (1 + 0j,), 0.0, 0.0))
+        assert law == {DetectionSample(Outcome.D2, 1): 1.0}
 
     def test_loss_thins_detections(self):
-        rng = rng_with(3)
-        n = 20_000
-        nulls = 0
-        for _ in range(n):
-            amp_d1, amp_d2 = recombine_at_bs(emit())
-            if sample_detection(amp_d1, amp_d2, 0.1, 0.0, rng).outcome is Outcome.NULL:
-                nulls += 1
-        assert_within_3sigma(nulls / n, 0.1, 0.1, n, "NULL under loss")
+        amp_d1, amp_d2 = recombine_at_bs(emit())
+        law = branch_law(detection_branches(amp_d1, amp_d2, 0.1, 0.0))
+        assert law[DetectionSample(Outcome.NULL, 0)] == pytest.approx(0.1, abs=1e-15)
 
     def test_full_round_one_absorber_gives_quarter_d1(self):
-        rng = rng_with(4)
-        n = 20_000
-        d1 = 0
-        for _ in range(n):
-            state = emit()
-            state, absorbed = apply_party_action(state, Arm.B, Action.A, rng)
-            if absorbed:
-                continue
-            amp_d1, amp_d2 = recombine_at_bs(state)
-            if sample_detection(amp_d1, amp_d2, 0.0, 0.0, rng).outcome is Outcome.D1:
-                d1 += 1
-        assert_within_3sigma(d1 / n, 0.25, 0.25, n, "P(D1|AF)")
+        p_d1 = 0.0
+        for p_b, (state, absorbed) in party_action_branches(emit(), Arm.B, Action.A):
+            if not absorbed:
+                law = branch_law(detection_branches(*recombine_at_bs(state), 0.0, 0.0))
+                p_d1 += p_b * law.get(DetectionSample(Outcome.D1, 1), 0.0)
+        assert p_d1 == pytest.approx(0.25, abs=1e-15)
 
     def test_dark_counts_fire_idle_detectors(self):
-        rng = rng_with(6)
-        n = 20_000
         dark = 0.05
-        clicks = 0
-        for _ in range(n):
-            sample = sample_detection((0j,), (0j,), 0.0, dark, rng)
-            if sample.click_count:
-                assert sample.outcome is not Outcome.NULL
-            clicks += 1 if sample.click_count else 0
-        expected = 1.0 - (1.0 - dark) ** 2
-        assert_within_3sigma(clicks / n, expected, expected, n, "dark click rate")
+        law = branch_law(detection_branches((0j,), (0j,), 0.0, dark))
+        assert all(d.outcome is not Outcome.NULL for d in law if d.click_count)
+        clicks = sum(p for d, p in law.items() if d.click_count)
+        assert clicks == pytest.approx(1.0 - (1.0 - dark) ** 2, abs=1e-15)
 
     def test_double_click_flags_multiple_count(self):
-        rng = rng_with(7)
-        seen_double = False
-        for _ in range(5_000):
-            sample = sample_detection((0j,), (1 + 0j,), 0.0, 0.2, rng)
-            if sample.click_count == 2:
-                seen_double = True
-        assert seen_double
+        law = branch_law(detection_branches((0j,), (1 + 0j,), 0.0, 0.2))
+        assert law == pytest.approx(
+            {DetectionSample(Outcome.D2, 1): 0.8, DetectionSample(Outcome.D2, 2): 0.2}, abs=1e-15
+        )
 
 
 class TestHelstrom:
@@ -283,25 +250,18 @@ class TestHelstrom:
         )
 
     def test_guess_success_rates(self):
-        rng = rng_with(8)
-        for theta, n in ((0.0, 4_000), (0.4, 4_000), (math.pi / 4, 4_000)):
+        for theta in (0.0, 0.4, math.pi / 4, math.pi / 2):
             vec_b, vec_c = probe_branch_vectors(theta)
-            correct = 0
-            for i in range(n):
-                bit = i % 2
-                collapsed = vec_b if bit == 1 else vec_c
-                probe = EveProbePair(theta=theta, collapsed_state=collapsed)
-                correct += helstrom_guess(probe, rng) == bit
             expected = helstrom_success_probability(theta)
-            assert_within_3sigma(correct / n, expected, max(expected, 0.5), n, f"theta={theta}")
+            assert helstrom_p_one(EveProbePair(theta, vec_b)) == pytest.approx(expected, abs=1e-12)
+            assert 1.0 - helstrom_p_one(EveProbePair(theta, vec_c)) == pytest.approx(
+                expected, abs=1e-12
+            )
 
     def test_orthogonal_probes_always_distinguished(self):
-        rng = rng_with(10)
-        theta = math.pi / 2
-        vec_b, vec_c = probe_branch_vectors(theta)
-        for bit, collapsed in ((1, vec_b), (0, vec_c)):
-            for _ in range(200):
-                assert helstrom_guess(EveProbePair(theta, collapsed), rng) == bit
+        vec_b, vec_c = probe_branch_vectors(math.pi / 2)
+        assert helstrom_p_one(EveProbePair(math.pi / 2, vec_b)) == pytest.approx(1.0, abs=1e-12)
+        assert helstrom_p_one(EveProbePair(math.pi / 2, vec_c)) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_measurements_never_beat_helstrom(self):
         rng = rng_with(12)

@@ -1,10 +1,12 @@
-"""Guards on the package's structure that the benchmark harness relies on:
-every module imports on its own, every function the per-layer tracer
-wraps still exists under its name, and its packet counter reads a
-session's packet log."""
+"""Guards on what the benchmark harness and the scripts rely on: every
+module imports on its own, every function the per-layer tracer wraps
+still exists under its name, its packet counter reads a session's packet
+log, each timed workload's warm-up session passes the workload's own
+check, and the attack sweep script runs."""
 
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +64,36 @@ def test_packet_counter_reads_the_derived_stream():
     # sample acknowledgement and 2 disclosures per sampled round
     assert tracer.counters["packets"] == 4 + 4 * 2_000 + 1 + 1 + 2 * 500 == 9_006
     assert tracer.counters["protocol_rounds"] == 2_000
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["simulate-eve", "protocol-session", "abort-scan"])
+def test_workload_warm_up_passes_its_check(workloads, tmp_path, name):
+    session = workloads.WORKLOADS[name](seed=1, workdir=tmp_path).warm_up()
+    checked = session.check(session.run())
+    assert checked.law == [] and checked.verdict == []
+    assert checked.false_abort is None
+
+
+def test_attack_sweep_prints_one_row_per_point(monkeypatch, capsys):
+    path = ROOT / "scripts" / "attack_sweep.py"
+    spec = importlib.util.spec_from_file_location("attack_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["attack_sweep.py", "--rounds", "2000", "--points", "2"])
+    sweep.main()
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["theta", "V_emp", "V_thy", "e_emp", "e_thy", "I_E_emp", "chi"]
+    assert set(rule) == {"-"}
+    assert len(rows) == 2
+    for row in rows:
+        mi = float(row.split()[5])
+        assert math.isfinite(mi) and mi <= 1.0
