@@ -12,7 +12,7 @@ from .analysis import (
     visibility_theory,
 )
 from .channel import AttackConfig, AttackKind, AttackTarget, ChannelConfig, FakeStrategy
-from .metrics import MeritReport, TolerancePolicy, Verdict, compute_merit_report
+from .metrics import MeritReport, Verdict, compute_merit_report
 from .parties import RoundRecord, Transcript, run_protocol, run_rounds, sift_key
 from .photonics import Action, Arm, JointState, Outcome, emit
 
@@ -31,7 +31,6 @@ __all__ = [
     "Outcome",
     "RoundRecord",
     "SecurityPoint",
-    "TolerancePolicy",
     "Transcript",
     "Verdict",
     "binary_entropy",

@@ -21,6 +21,8 @@ import numpy as np
 from .channel import AttackConfig, ChannelConfig
 
 _EIG_TOL = 1e-12
+#: Width of the bracket at which ``security_threshold`` stops bisecting.
+_THRESHOLD_TOL = 1e-10
 
 
 def binary_entropy(x: float) -> float:
@@ -139,20 +141,18 @@ def key_rate(theta: float) -> SecurityPoint:
     )
 
 
-def security_threshold(tol: float = 1e-10) -> tuple[float, float]:
+def security_threshold() -> tuple[float, float]:
     """Probe strength at which the key rate crosses zero, by bisection.
 
     K is 1 at theta = 0 and -1 at theta = pi/2, so the root is bracketed;
     returns (theta_star, error rate at theta_star).
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     lo, hi = 0.0, math.pi / 2
     k_lo = key_rate(lo).key_rate
     k_hi = key_rate(hi).key_rate
     if k_lo <= 0.0 or k_hi >= 0.0:
         raise RuntimeError("key rate does not bracket a root on [0, pi/2]")
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if key_rate(mid).key_rate > 0.0:
             lo = mid

@@ -47,8 +47,6 @@ class RunConfig:
     loss: float = 0.0
     dark_rate: float = 0.0
     timing_jitter: bool = False
-    floor: float = 0.02
-    z: float = 4.0
     grid_points: int = 200
     output: str | None = None
     format: str = "text"
@@ -68,32 +66,6 @@ class RunConfig:
             loss_rate=self.loss, dark_rate=self.dark_rate, timing_jitter=self.timing_jitter
         )
 
-    def tolerance_policy(self) -> metrics.TolerancePolicy:
-        return metrics.TolerancePolicy(floor=self.floor, z=self.z)
-
-
-_FIELD_PARSERS = {
-    "command": str,  # accepted for round-tripping echoes; the subcommand wins
-    "n": int,
-    "f": float,
-    "seed": int,
-    "attack": str,
-    "theta": float,
-    "p": float,
-    "strategy": str,
-    "target": str,
-    "knows_schedule": None,  # bool, parsed below
-    "loss": float,
-    "dark_rate": float,
-    "timing_jitter": None,
-    "floor": float,
-    "z": float,
-    "grid_points": int,
-    "output": str,
-    "format": str,
-}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -101,6 +73,23 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise CliError(f"not a boolean: {text!r}")
+
+
+def _parse_optional(text: str) -> str | None:
+    return None if text in ("", "none") else text
+
+
+#: A config value's parser, by the annotation of its ``RunConfig`` field.
+_ANNOTATION_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str | None": _parse_optional,
+}
+#: Each config key's parser.  ``command`` is accepted for round-tripping
+#: echoes; the subcommand wins.
+_FIELD_PARSERS = {fld.name: _ANNOTATION_PARSERS[fld.type] for fld in dataclasses.fields(RunConfig)}
 
 
 def parse_config_file(text: str) -> dict:
@@ -117,16 +106,10 @@ def parse_config_file(text: str) -> dict:
         value = value.strip()
         if key not in _FIELD_PARSERS:
             raise CliError(f"line {lineno}: unknown config key {key!r}")
-        parser = _FIELD_PARSERS[key]
-        if parser is None:
-            values[key] = _parse_bool(value)
-        elif key == "output" and value in ("", "none"):
-            values[key] = None
-        else:
-            try:
-                values[key] = parser(value)
-            except ValueError as exc:
-                raise CliError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+        try:
+            values[key] = _FIELD_PARSERS[key](value)
+        except ValueError as exc:
+            raise CliError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
@@ -184,8 +167,6 @@ def build_parser() -> _Parser:
                 action=argparse.BooleanOptionalAction,
                 default=None,
             )
-            p.add_argument("--floor", type=float, default=None)
-            p.add_argument("--z", type=float, default=None)
 
     sim = sub.add_parser("simulate", help="statistics run with merit report")
     add_common(sim)
@@ -280,7 +261,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         report = metrics.compute_merit_report(result.rounds, result.rounds, cfg.n)
     except metrics.InsufficientSample as exc:
         return _abort_insufficient(exc)
-    verdict = metrics.abort_decision(report, cfg.tolerance_policy(), channel_cfg)
+    verdict = metrics.abort_decision(report, channel_cfg)
     expected = analysis.theoretical_merits(attack, channel_cfg)
     _emit(_report_payload(cfg, report, verdict, expected), cfg.output)
     if not verdict.key_produced:
@@ -297,7 +278,6 @@ def cmd_protocol(cfg: RunConfig) -> int:
             attack=cfg.attack_config(),
             seed=cfg.seed,
             channel_cfg=cfg.channel_config(),
-            policy=cfg.tolerance_policy(),
         )
     except metrics.InsufficientSample as exc:
         return _abort_insufficient(exc)
@@ -317,9 +297,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
         "key_round_ids = " + ",".join(str(i) for i in transcript.key_round_ids),
     ]
     _write(keys_path, "\n".join(key_lines) + "\n")
-    print(f"key_bits = {len(transcript.key_bob)}")
-    print(f"key_bob_hex = {parties.key_to_hex(transcript.key_bob)}")
-    print(f"key_charlie_hex = {parties.key_to_hex(transcript.key_charlie)}")
+    print("\n".join(key_lines[:3]))
     print(f"keys_file = {keys_path}")
     return 0
 

@@ -11,11 +11,12 @@ settings, outcome, station clicks and the multiple-count flag; run on the
 exact outcome law as a table of probabilities (``parties.outcome_table``,
 n = 1), the same estimators give the expected values.
 
-The abort policy gates the cheating signatures (coincidence, bias, multi
-count, loss) by a statistical tolerance around their values under the
-honest law of the run's channel, and gates the smoothly degrading figures
-(error rate and visibility) by the security ceiling on the error rate
-beyond which no secret key is distillable.
+The abort rule has fixed tolerances.  It gates the cheating signatures
+(coincidence, bias, multi count, loss) by max(``TOLERANCE_FLOOR``,
+``TOLERANCE_Z`` standard errors) around their values under the honest law
+of the run's channel, and gates the smoothly degrading figures (error rate
+and visibility) by ``ERROR_RATE_CEILING``, the error rate beyond which no
+secret key is distillable.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ if TYPE_CHECKING:
 #: enforces this ceiling on the measured error rate and on the error rate
 #: implied by the measured visibility.
 ERROR_RATE_CEILING = security_threshold()[1]
+#: A signature gate fails a figure that deviates from its honest value by
+#: more than max(TOLERANCE_FLOOR, TOLERANCE_Z * its standard error).
+TOLERANCE_FLOOR = 0.02
+TOLERANCE_Z = 4.0
 
 
 class InsufficientSample(ValueError):
@@ -53,17 +58,6 @@ class Verdict:
         if self.key_produced:
             return "KeyProduced"
         return f"Aborted({','.join(self.abort_reasons)})"
-
-
-@dataclass(frozen=True, slots=True)
-class TolerancePolicy:
-    """Abort tolerances: ``floor`` is an absolute deviation allowance, ``z``
-    scales each estimate's standard error, ``error_ceiling`` bounds the error
-    rate.  Baselines come from the honest outcome law of the run's channel."""
-
-    floor: float = 0.02
-    z: float = 4.0
-    error_ceiling: float = ERROR_RATE_CEILING
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,15 +243,14 @@ def _binom_sigma(p: float, m: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / m)
 
 
-def abort_decision(
-    report: MeritReport, policy: TolerancePolicy, channel_cfg: ChannelConfig = ChannelConfig()
-) -> Verdict:
-    """Apply the tolerance policy to a merit report.
+def abort_decision(report: MeritReport, channel_cfg: ChannelConfig = ChannelConfig()) -> Verdict:
+    """Judge a merit report by the fixed abort rule.
 
-    Fails a figure when it deviates from its value under the honest law of
-    ``channel_cfg`` by more than max(floor, z * sigma); the error rate and
-    the visibility are instead gated by the security ceiling, since they
-    degrade smoothly and stay acceptable while a positive key rate survives.
+    Fails a signature figure when it deviates from its value under the
+    honest law of ``channel_cfg`` by more than max(TOLERANCE_FLOOR,
+    TOLERANCE_Z * sigma); the error rate and the visibility are instead
+    gated by ``ERROR_RATE_CEILING``, since they degrade smoothly and stay
+    acceptable while a positive key rate survives.
     """
     from .parties import outcome_table  # parties imports this module
 
@@ -265,7 +258,7 @@ def abort_decision(
     expected = table_merits(honest, honest, 1)
 
     def deviates(figure: str, sigma: float) -> bool:
-        tolerance = max(policy.floor, policy.z * sigma)
+        tolerance = max(TOLERANCE_FLOOR, TOLERANCE_Z * sigma)
         return abs(getattr(report, figure) - expected[figure]) > tolerance
 
     counts = report.counts
@@ -281,9 +274,9 @@ def abort_decision(
     loss_sigma = 2.0 * _binom_sigma(_null_fraction(honest, 1), report.n)
     gates = (
         ("coincidence", deviates("coincidence_rate", coincidence_sigma)),
-        ("visibility", error_from_visibility(report.visibility) >= policy.error_ceiling),
+        ("visibility", error_from_visibility(report.visibility) >= ERROR_RATE_CEILING),
         ("bias", deviates("bias", bias_sigma)),
-        ("errorRate", report.error_rate >= policy.error_ceiling),
+        ("errorRate", report.error_rate >= ERROR_RATE_CEILING),
         ("multiRate", deviates("multi_rate", multi_sigma)),
         ("lossRate", deviates("loss_rate", loss_sigma)),
     )

@@ -628,7 +628,6 @@ def run_protocol(
     attack: AttackConfig = AttackConfig.none(),
     seed: int = 0,
     channel_cfg: ChannelConfig = ChannelConfig(),
-    policy: metrics.TolerancePolicy = metrics.TolerancePolicy(),
 ) -> Transcript:
     """Execute a full session and return its transcript.
 
@@ -654,7 +653,7 @@ def run_protocol(
     sampled_ids = np.sort(rng_sampler.choice(n, size=int(n * f), replace=False))
     rounds.sampled[sampled_ids] = True
     report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
-    verdict = metrics.abort_decision(report, policy, channel_cfg)
+    verdict = metrics.abort_decision(report, channel_cfg)
 
     key_bob: list[int] = []
     key_charlie: list[int] = []

@@ -206,10 +206,6 @@ class TestSecurityThreshold:
         theta_star, _ = security_threshold()
         assert lo <= theta_star <= hi
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            security_threshold(tol=0.0)
-
 
 class TestSecurityCurve:
     def test_monotone_and_single_crossing(self):

@@ -172,10 +172,12 @@ class TestConfigHandling:
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("bogus = 1\n")
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
-        assert code == 1
-        assert "unknown config key" in err
+        # the abort tolerances are constants, not settings
+        for text in ("bogus = 1\n", "floor = 0.02\n"):
+            config.write_text(text)
+            code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+            assert code == 1
+            assert "unknown config key" in err
 
     def test_malformed_config_line_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -188,8 +190,16 @@ class TestConfigHandling:
         assert code == 1
 
     def test_bad_flag_value_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--attack", "bogus")
-        assert code == 1
+        for argv in (
+            ("simulate", "--attack", "bogus"),
+            # the abort tolerances are constants, not flags
+            ("simulate", "--floor", "nan"),
+            ("protocol", "--attack", "alice-double", "--p", "1.0", "--n", "2000", "--z", "3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert "error:" in err and "Traceback" not in err
+            assert out == ""
 
     def test_out_of_range_parameter_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--attack", "eve", "--theta", "3.0")

@@ -52,42 +52,19 @@ F, A = Action.F, Action.A
 LOSSY = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
 
 
-def _weights(law, attack):
-    """Probability of each table: cells equiprobable, attacked tables with
-    the source attacker's probability."""
-    p = attack.p if any(attacked for _, _, attacked in law) else 0.0
-    return {key: 0.25 * (p if key[2] else 1.0 - p) for key in law}
-
-
-def _probability(law, attack, predicate) -> float:
-    """P(predicate(setting_b, setting_c, row)) over one round."""
-    weights = _weights(law, attack)
-    return sum(
-        weights[key] * row.probability
-        for key, rows in law.items()
-        for row in rows
-        if predicate(key[0], key[1], row)
-    )
-
-
-def _contingency(law, attack) -> dict:
-    """The law over metrics' contingency cells."""
-    weights = _weights(law, attack)
-    cells: dict = {}
-    for (sb, sc, attacked), rows in law.items():
-        for row in rows:
-            cell = (sb, sc, row.outcome, row.click_b, row.click_c, row.multi_count)
-            cells[cell] = cells.get(cell, 0.0) + weights[(sb, sc, attacked)] * row.probability
-    return cells
+def _probability(attack, channel, predicate) -> float:
+    """P(predicate(*cell)) over one round: a sum over the outcome table's
+    cells (setting_b, setting_c, outcome, click_b, click_c, multi_count)."""
+    return sum(p for cell, p in outcome_table(attack, channel).items() if predicate(*cell))
 
 
 def _conditional(law, sb, sc, outcome) -> float:
     return sum(r.probability for r in law[(sb, sc, False)] if r.outcome is outcome)
 
 
-def _error_rate(law, attack) -> float:
-    d1 = _probability(law, attack, lambda sb, sc, r: r.outcome is Outcome.D1)
-    corr = _probability(law, attack, lambda sb, sc, r: r.outcome is Outcome.D1 and sb is sc)
+def _error_rate(attack, channel) -> float:
+    d1 = _probability(attack, channel, lambda sb, sc, o, *_: o is Outcome.D1)
+    corr = _probability(attack, channel, lambda sb, sc, o, *_: o is Outcome.D1 and sb is sc)
     return corr / d1
 
 
@@ -148,7 +125,8 @@ def test_eve_law_reproduces_the_closed_forms(theta):
     n1 = _conditional(law, F, F, Outcome.D1)
     n2 = _conditional(law, F, F, Outcome.D2)
     assert (n2 - n1) / (n1 + n2) == pytest.approx(visibility_theory(theta), abs=1e-12)
-    assert _error_rate(law, attack) == pytest.approx(error_rate_theory(theta), abs=1e-12)
+    e = _error_rate(attack, ChannelConfig())
+    assert e == pytest.approx(error_rate_theory(theta), abs=1e-12)
     helstrom = helstrom_success_probability(theta)
     for (sb, sc), bit in (((A, F), 0), ((F, A), 1)):
         assert _conditional(law, sb, sc, Outcome.D1) == pytest.approx(0.25, abs=1e-12)
@@ -159,9 +137,8 @@ def test_eve_law_reproduces_the_closed_forms(theta):
 
 @pytest.mark.parametrize("loss,dark", [(0.0, 0.01), (0.0, 0.03), (0.2, 0.01), (0.5, 0.1)])
 def test_law_multi_rate_matches_dark_model(loss, dark):
-    attack = AttackConfig.none()
-    law = outcome_law(attack, ChannelConfig(loss_rate=loss, dark_rate=dark))
-    multi = _probability(law, attack, lambda sb, sc, r: r.multi_count)
+    channel = ChannelConfig(loss_rate=loss, dark_rate=dark)
+    multi = _probability(AttackConfig.none(), channel, lambda *cell: cell[5])
     assert multi == pytest.approx(expected_multi_rate(dark, loss), abs=1e-12)
 
 
@@ -173,21 +150,19 @@ def test_law_multi_rate_matches_dark_model(loss, dark):
 @pytest.mark.parametrize("target", [AttackTarget.RANDOM, AttackTarget.B])
 def test_single_path_law_matches_exact_enumeration(p, strategy, d1_weight, target):
     attack = AttackConfig.alice_single_path(p, strategy, target)
-    law = outcome_law(attack, ChannelConfig())
     exact_e, exact_bias = _exact_single_path_merits(
         Fraction(p), d1_weight, split=target is AttackTarget.RANDOM
     )
     if strategy is FakeStrategy.RANDOM_QUARTER:
         assert exact_e == Fraction(p) / 2
-    assert _error_rate(law, attack) == pytest.approx(float(exact_e), abs=1e-12)
+    assert _error_rate(attack, ChannelConfig()) == pytest.approx(float(exact_e), abs=1e-12)
     biases = []
     for sb, sc in ((A, F), (F, A)):
-        def in_cell(b, c, r, outcome):
-            return (b, c) == (sb, sc) and r.outcome is outcome
+        def in_cell(outcome):
+            key = (sb, sc, outcome)
+            return _probability(attack, ChannelConfig(), lambda *cell: cell[:3] == key)
 
-        d1 = _probability(law, attack, lambda b, c, r: in_cell(b, c, r, Outcome.D1))
-        d2 = _probability(law, attack, lambda b, c, r: in_cell(b, c, r, Outcome.D2))
-        biases.append(abs(d1 - d2) / 0.25)
+        biases.append(abs(in_cell(Outcome.D1) - in_cell(Outcome.D2)) / 0.25)
     assert max(biases) == pytest.approx(float(exact_bias), abs=1e-12)
 
 
@@ -234,8 +209,7 @@ SAMPLED = [
 def test_bulk_sampler_draws_from_the_law(label, attack, channel, seed):
     n = 40_000
     result = run_rounds(n, attack, channel, seed=seed)
-    law = outcome_law(attack, channel)
-    assert_matches_law(tabulate(result.rounds), _contingency(law, attack), n, label)
+    assert_matches_law(tabulate(result.rounds), outcome_table(attack, channel), n, label)
     if channel.dark_rate == 0.0:
         # without dark counts every D1 round carries the probe, if any
         d1 = sum(r.outcome_alice is Outcome.D1 for r in result.rounds)
@@ -268,7 +242,7 @@ def test_per_round_primitives_follow_the_law():
     observed = Counter(
         _reference_round(*cells[int(i)], attack, channel, rng) for i in rng.integers(0, 4, n)
     )
-    assert_matches_law(observed, _contingency(outcome_law(attack, channel), attack), n, "per-round")
+    assert_matches_law(observed, outcome_table(attack, channel), n, "per-round")
 
 
 _PROBED_FF = recombine_at_bs(attach_eve_probe(emit(), 0.6))

@@ -1,5 +1,5 @@
 """Figure-of-merit estimators, channel-rate estimates with their
-enumeration oracles, and the abort policy."""
+enumeration oracles, and the abort rule."""
 
 import dataclasses
 import itertools
@@ -19,8 +19,8 @@ from cqca.analysis import (
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import (
     ERROR_RATE_CEILING,
+    TOLERANCE_FLOOR,
     MeritReport,
-    TolerancePolicy,
     abort_decision,
     compute_merit_report,
     expected_multi_rate,
@@ -182,25 +182,24 @@ class TestAbortDecision:
         n = 20_000
         result = run_rounds(n, seed=204)
         report = compute_merit_report(result.rounds, result.rounds, n)
-        verdict = abort_decision(report, TolerancePolicy())
+        verdict = abort_decision(report)
         assert verdict.key_produced, verdict.abort_reasons
 
     def test_weak_probe_passes_with_shortened_key(self):
         # error rate 0.038 and visibility 0.96 stay under the security
         # ceiling, so the run passes and privacy amplification absorbs the leak
-        verdict = abort_decision(_theory_report(0.2), TolerancePolicy())
+        verdict = abort_decision(_theory_report(0.2))
         assert verdict.key_produced
 
     def test_strong_probe_aborts_on_error_rate(self):
-        verdict = abort_decision(_theory_report(0.6), TolerancePolicy())
+        verdict = abort_decision(_theory_report(0.6))
         assert not verdict.key_produced
         assert "errorRate" in verdict.abort_reasons
         assert "visibility" in verdict.abort_reasons
 
     def test_abort_monotone_in_probe_strength(self):
-        policy = TolerancePolicy()
         grid = [i * math.pi / 40 for i in range(1, 20)]
-        aborted = [not abort_decision(_theory_report(t), policy).key_produced for t in grid]
+        aborted = [not abort_decision(_theory_report(t)).key_produced for t in grid]
         first_abort = aborted.index(True)
         assert all(aborted[first_abort:])
 
@@ -215,7 +214,7 @@ class TestAbortDecision:
             loss_rate=0.0,
             counts={"aa": 2500, "af": 2500, "fa": 2500, "d1": 1250},
         )
-        verdict = abort_decision(report, TolerancePolicy())
+        verdict = abort_decision(report)
         assert verdict.abort_reasons == ("coincidence",)
 
     def test_unexpected_loss_gate(self):
@@ -229,9 +228,9 @@ class TestAbortDecision:
             loss_rate=0.2,
             counts={"aa": 2500, "af": 2500, "fa": 2500, "d1": 1250},
         )
-        assert abort_decision(report, TolerancePolicy()).abort_reasons == ("lossRate",)
+        assert abort_decision(report).abort_reasons == ("lossRate",)
         lossy = ChannelConfig(loss_rate=0.2)
-        assert abort_decision(report, TolerancePolicy(), lossy).key_produced
+        assert abort_decision(report, lossy).key_produced
 
     def test_honest_lossy_dark_expectation_passes(self):
         # dark clicks announce some rounds that loss left NULL, so the
@@ -244,7 +243,7 @@ class TestAbortDecision:
             **merits,
             counts={"aa": n // 4, "af": n // 4, "fa": n // 4, "d1": n // 8},
         )
-        assert abort_decision(report, TolerancePolicy(), channel).abort_reasons == ()
+        assert abort_decision(report, channel).abort_reasons == ()
 
     @pytest.mark.parametrize("scale,aborts", [(0.99, False), (1.01, True)])
     def test_bias_gate_uses_the_multinomial_sigma(self, scale, aborts):
@@ -252,21 +251,20 @@ class TestAbortDecision:
         report = _theory_report(0.0, n=10_000)
         m = report.counts["af"]
         tolerance = 4.0 * math.sqrt(0.5 / m)
-        assert tolerance > TolerancePolicy().floor
+        assert tolerance > TOLERANCE_FLOOR
         report = dataclasses.replace(report, bias=scale * tolerance)
-        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        reasons = abort_decision(report).abort_reasons
         assert reasons == (("bias",) if aborts else ())
 
     def test_ceiling_is_the_security_threshold(self):
         assert ERROR_RATE_CEILING == security_threshold()[1]
-        assert TolerancePolicy().error_ceiling == ERROR_RATE_CEILING
 
     @pytest.mark.parametrize("offset,aborts", [(-1e-4, False), (1e-4, True)])
     def test_error_rate_gate_at_threshold(self, offset, aborts):
         report = dataclasses.replace(
             _theory_report(0.0), error_rate=security_threshold()[1] + offset
         )
-        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        reasons = abort_decision(report).abort_reasons
         assert ("errorRate" in reasons) is aborts
 
     @pytest.mark.parametrize("offset,aborts", [(-1e-4, False), (1e-4, True)])
@@ -275,14 +273,14 @@ class TestAbortDecision:
         visibility = (1.0 - 2.0 * e) / (1.0 - e)  # inverts error_from_visibility
         assert error_from_visibility(visibility) == pytest.approx(e, abs=1e-12)
         report = dataclasses.replace(_theory_report(0.0), visibility=visibility)
-        reasons = abort_decision(report, TolerancePolicy()).abort_reasons
+        reasons = abort_decision(report).abort_reasons
         assert ("visibility" in reasons) is aborts
 
 
 class TestReportSerialization:
     def test_csv_row_shape(self):
         report = _theory_report(0.0, n=1000)
-        verdict = abort_decision(report, TolerancePolicy())
+        verdict = abort_decision(report)
         row = report_csv_row(report, verdict)
         fields = row.split(",")
         assert fields[0] == "1000"
@@ -291,12 +289,12 @@ class TestReportSerialization:
 
     def test_csv_row_abort_reasons_joined(self):
         report = _theory_report(0.6)
-        verdict = abort_decision(report, TolerancePolicy())
+        verdict = abort_decision(report)
         assert report_csv_row(report, verdict).endswith("abort:visibility+errorRate")
 
     def test_text_block_mentions_every_figure(self):
         report = _theory_report(0.0, n=1000)
-        verdict = abort_decision(report, TolerancePolicy())
+        verdict = abort_decision(report)
         block = report_text_block(report, verdict, expected={"visibility": 1.0})
         for token in ("kappa", "visibility", "bias", "errorRate", "r =", "lambda", "verdict"):
             assert token in block
