@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -216,9 +217,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> None:
+    """Write the byte chunks to ``path`` in order."""
     try:
-        path.write_text(text)
+        with path.open("wb") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -227,7 +230,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
     else:
-        _write(Path(output), text if text.endswith("\n") else text + "\n")
+        _write(Path(output), [(text if text.endswith("\n") else text + "\n").encode()])
 
 
 def _report_payload(cfg: RunConfig, report, verdict, expected) -> str:
@@ -282,7 +285,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     except metrics.InsufficientSample as exc:
         return _abort_insufficient(exc)
     out_path = Path(cfg.output) if cfg.output else Path("cqca-transcript.txt")
-    _write(out_path, "\n".join(parties.transcript_lines(transcript)) + "\n")
+    _write(out_path, parties.transcript_chunks(transcript.rounds))
     print(f"transcript = {out_path}")
     print(f"rounds = {len(transcript.rounds)}")
     print(f"verdict = {transcript.verdict}")
@@ -294,9 +297,10 @@ def cmd_protocol(cfg: RunConfig) -> int:
         f"key_bits = {len(transcript.key_bob)}",
         f"key_bob_hex = {parties.key_to_hex(transcript.key_bob)}",
         f"key_charlie_hex = {parties.key_to_hex(transcript.key_charlie)}",
-        "key_round_ids = " + ",".join(str(i) for i in transcript.key_round_ids),
+        "key_round_ids = ",
     ]
-    _write(keys_path, "\n".join(key_lines) + "\n")
+    key_ids = parties.joined_decimal(transcript.key_round_ids, b",")
+    _write(keys_path, ["\n".join(key_lines).encode(), *key_ids, b"\n"])
     print("\n".join(key_lines[:3]))
     print(f"keys_file = {keys_path}")
     return 0

@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -357,10 +357,17 @@ def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
     return -1
 
 
-def _key_rounds(rounds: RoundTable) -> np.ndarray:
-    """Mask of the unsampled D1 rounds, the rounds both stations key on."""
+def _key_positions(rounds: RoundTable) -> np.ndarray:
+    """Positions of the unsampled D1 rounds, the rounds both stations key on."""
     d1 = rounds.per_round(lambda _b, _c, outcome, *_: outcome is Outcome.D1, bool)
-    return d1 & ~rounds.sampled
+    return np.flatnonzero(d1 & ~rounds.sampled)
+
+
+def _station_keys(key_rounds: RoundTable) -> tuple[list[int], list[int]]:
+    """Bob's and Charlie's bit on each of the given key rounds."""
+    key_bob = key_rounds.per_round(lambda setting_b, *_: setting_b is Action.F, np.int8)
+    key_charlie = key_rounds.per_round(lambda _b, setting_c, *_: setting_c is Action.A, np.int8)
+    return key_bob.tolist(), key_charlie.tolist()
 
 
 def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
@@ -371,10 +378,7 @@ def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
     Rounds whose settings were secretly correlated yield mismatched bits,
     surfacing as key errors rather than being discarded.
     """
-    keep = _key_rounds(rounds)
-    key_bob = rounds.per_round(lambda setting_b, *_: setting_b is Action.F, np.int8)
-    key_charlie = rounds.per_round(lambda _b, setting_c, *_: setting_c is Action.A, np.int8)
-    return key_bob[keep].tolist(), key_charlie[keep].tolist()
+    return _station_keys(rounds.take(_key_positions(rounds)))
 
 
 #: Settings cells in table order: a round's cell index is 2*[B absorbs] +
@@ -660,10 +664,11 @@ def run_protocol(
     key_round_ids: list[int] = []
     measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
-        key_ids = np.flatnonzero(_key_rounds(rounds))
-        rounds.sifted_bits[key_ids] = rounds.per_round(canonical_sifted_bit, np.int8)[key_ids]
+        key_ids = _key_positions(rounds)
+        key_rounds = rounds.take(key_ids)
+        rounds.sifted_bits[key_ids] = key_rounds.per_round(canonical_sifted_bit, np.int8)
         key_round_ids = key_ids.tolist()
-        key_bob, key_charlie = sift_key(rounds)
+        key_bob, key_charlie = _station_keys(key_rounds)
         measured = ~rounds.sampled[probed]
     eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], rng_eve)
     return Transcript(
@@ -704,19 +709,80 @@ def line_to_round(line: str) -> RoundRecord:
     )
 
 
-def transcript_lines(transcript: Transcript) -> list[str]:
-    """``round_to_line`` of every round, each line built from its round id
-    and one of four line tails per cell: unsampled, sampled, or a key round
-    carrying bit 0 or 1."""
-    rounds = transcript.rounds
+#: Ids formatted per chunk of decimal output; bounds the formatter's
+#: working memory.
+_CHUNK_IDS = 1 << 14
+
+
+def _decimal_chunks(
+    ids: np.ndarray, tails: Sequence[bytes], kinds: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each id in decimal followed by ``tails[kind]``, as uint8 chunks of
+    at most ``_CHUNK_IDS`` ids.
+
+    A chunk is a grid with one row per id: the id's digits, found by
+    repeated division by 10 and right-aligned at the width of the largest
+    id, then its tail from a padded tail table.  One mask, looked up by
+    the id's digit count and its kind, keeps each row's significant digits
+    and its tail's own bytes; the kept bytes in row order are the chunk.
+    """
+    if len(ids) == 0:
+        return
+    if ids.min() < 0:
+        raise ValueError("ids must be non-negative")
+    digits = len(str(int(ids.max())))
+    powers = 10 ** np.arange(1, digits, dtype=np.int64)
+    lengths = np.array([len(tail) for tail in tails])
+    width = digits + int(lengths.max())
+    template = np.zeros((len(tails), width), dtype=np.uint8)
+    for k, tail in enumerate(tails):
+        template[k, digits : digits + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+    # Row c * len(tails) + k keeps the last c + 1 digits and tails[k].
+    columns = np.arange(width)
+    kept_digits = (columns < digits) & (columns >= digits - np.arange(1, digits + 1)[:, None])
+    kept_tail = (columns >= digits) & (columns < digits + lengths[:, None])
+    kept_table = (kept_digits[:, None] | kept_tail[None, :]).reshape(-1, width)
+    for start in range(0, len(ids), _CHUNK_IDS):
+        chunk = ids[start : start + _CHUNK_IDS]
+        kind = kinds[start : start + _CHUNK_IDS]
+        digit_rows = np.empty((digits, len(chunk)), dtype=np.uint8)
+        rest = chunk
+        for row in range(digits - 1, -1, -1):
+            rest, digit_rows[row] = np.divmod(rest, 10)
+        digit_rows += ord("0")
+        grid = np.take(template, kind, axis=0)
+        grid[:, :digits] = digit_rows.T
+        extra_digits = np.searchsorted(powers, chunk, side="right")
+        yield grid[np.take(kept_table, extra_digits * len(tails) + kind, axis=0)]
+
+
+def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
+    """``round_to_line`` of every round plus a newline, as uint8 chunks.
+
+    Each line is its round id and one of four tails per cell: unsampled,
+    sampled, or a key round carrying bit 0 or 1.
+    """
     tails = [
-        round_to_line(RoundRecord(0, *cell, sampled, bit)).split(" ", 1)[1]
+        (round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0") + "\n").encode()
         for cell in rounds.cells
         for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
     ]
     bits = rounds.sifted_bits
     kinds = 4 * rounds.row_ids.astype(np.intp) + np.where(bits < 0, rounds.sampled, 2 + bits)
-    return [f"{i} {tails[k]}" for i, k in zip(rounds.round_ids.tolist(), kinds.tolist())]
+    return _decimal_chunks(rounds.round_ids, tails, kinds)
+
+
+def transcript_lines(transcript: Transcript) -> list[str]:
+    """``round_to_line`` of every round, decoded from ``transcript_chunks``."""
+    return b"".join(transcript_chunks(transcript.rounds)).decode("ascii").splitlines()
+
+
+def joined_decimal(ids: Sequence[int], separator: bytes) -> Iterator[np.ndarray]:
+    """``separator.join`` of the ids in decimal, as uint8 chunks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    last = np.zeros(len(ids), dtype=np.intp)
+    last[-1:] = 1
+    return _decimal_chunks(ids, (separator, b""), last)
 
 
 def key_to_hex(bits: list[int]) -> str:

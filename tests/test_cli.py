@@ -116,6 +116,8 @@ class TestProtocolCommand:
         )
         assert values["key_bob_hex"] == values["key_charlie_hex"]
         assert f"key_bits = {sum(r.sifted_bit is not None for r in records)}" in key_lines
+        key_ids = [r.round_id for r in records if r.sifted_bit is not None]
+        assert key_lines.endswith("\nkey_round_ids = " + ",".join(map(str, key_ids)) + "\n")
         # keys reconstructible from the transcript file alone
         bits = [r.sifted_bit for r in records if r.sifted_bit is not None]
         from cqca.parties import key_to_hex
@@ -240,6 +242,21 @@ class TestRobustness:
         assert code == 1
         assert f"error: cannot write {target}: " in err
         assert "Traceback" not in err and out == ""
+
+    def test_directory_as_transcript_output_exits_one(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "protocol", "--n", "2000", "--output", str(tmp_path))
+        assert code == 1
+        assert f"error: cannot write {tmp_path}: " in err
+        assert "Traceback" not in err and out == ""
+
+    def test_directory_as_keys_file_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "t.txt"
+        (tmp_path / "t.txt.keys").mkdir()
+        code, out, err = run_cli(capsys, "protocol", "--n", "2000", "--output", str(target))
+        assert code == 1
+        assert f"error: cannot write {target}.keys: " in err
+        assert "Traceback" not in err and "key_bits" not in out
+        assert len(target.read_text().splitlines()) == 2000
 
     def test_directory_as_config_exits_one(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path))

@@ -5,6 +5,7 @@ import itertools
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
+    _CHUNK_IDS,
     BodyType,
     ControlOp,
     MAGIC,
@@ -26,12 +28,14 @@ from cqca.parties import (
     decode_packet,
     disclose_body,
     encode_packet,
+    joined_decimal,
     key_to_hex,
     line_to_round,
     quantum_slot_body,
     round_to_line,
     run_protocol,
     sift_key,
+    transcript_chunks,
     transcript_lines,
 )
 from cqca.photonics import Action, Outcome
@@ -346,6 +350,82 @@ class TestRoundTable:
         assert len(records) == len(honest.rounds) == 20_000
         assert [r.round_id for r in records] == list(range(20_000))
         assert transcript_lines(honest) == [round_to_line(r) for r in records]
+
+
+FORMAT_SESSIONS = {
+    "honest": (AttackConfig.none(), ChannelConfig()),
+    "eve-0.3-lossy": (AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+    "single-0.5": (AttackConfig.alice_single_path(0.5), ChannelConfig()),
+    "double-1.0": (AttackConfig.alice_double_path(1.0), ChannelConfig()),
+}
+
+
+def _line_bytes(rounds):
+    """The transcript format, one ``round_to_line`` at a time."""
+    return "".join(round_to_line(r) + "\n" for r in rounds).encode()
+
+
+def _written(rounds):
+    chunks = [bytes(chunk) for chunk in transcript_chunks(rounds)]
+    assert all(chunk.count(b"\n") <= _CHUNK_IDS for chunk in chunks)
+    return b"".join(chunks)
+
+
+class TestTranscriptBytes:
+    @pytest.mark.parametrize("session", list(FORMAT_SESSIONS))
+    # ids 0 .. n - 1: the chunk size -1, exact and +1, and every digit
+    # count from one to six
+    @pytest.mark.parametrize("n", [_CHUNK_IDS - 1, _CHUNK_IDS, _CHUNK_IDS + 1, 100_001])
+    def test_session_bytes_equal_the_line_format(self, session, n):
+        attack, channel = FORMAT_SESSIONS[session]
+        transcript = run_protocol(n, 0.25, attack, seed=5, channel_cfg=channel)
+        keyed = session in ("honest", "eve-0.3-lossy")
+        assert transcript.verdict.key_produced == keyed
+        assert _written(transcript.rounds) == _line_bytes(transcript.rounds)
+
+    def test_taken_rounds_keep_their_ids(self, honest):
+        every_third = np.arange(0, 20_000, 3)
+        positions = np.concatenate(
+            [every_third[::-1], np.flatnonzero(honest.rounds.sampled), every_third]
+        )
+        taken = honest.rounds.take(positions)
+        assert len(taken) > _CHUNK_IDS
+        assert _written(taken) == _line_bytes(taken)
+
+    def test_record_ids_across_digit_counts(self):
+        records = [
+            _record(0, Action.A, Action.F, Outcome.D1),
+            _record(9, Action.F, Action.F, Outcome.D2, sampled=True),
+            _record(10, Action.F, Action.A, Outcome.D1),
+            _record(99_999, Action.A, Action.A, Outcome.NULL),
+            _record(123_456_789, Action.A, Action.F, Outcome.D1),
+        ]
+        records[0].sifted_bit, records[2].sifted_bit = 0, 1
+        table = RoundTable.from_records(records)
+        assert _written(table) == _line_bytes(records)
+        assert _written(table.take(np.array([4, 0, 3]))) == _line_bytes(
+            [records[4], records[0], records[3]]
+        )
+
+    def test_negative_id_rejected(self):
+        table = RoundTable.from_records([_record(-1, Action.A, Action.F, Outcome.D1)])
+        with pytest.raises(ValueError):
+            list(transcript_chunks(table))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [],
+            [0],
+            [7, 0],
+            [0, 9, 10, 99_999, 123_456_789],
+            list(range(_CHUNK_IDS + 1)),
+        ],
+        ids=["empty", "zero", "two", "digit-counts", "chunk-plus-one"],
+    )
+    def test_key_round_ids_join_with_commas(self, ids):
+        joined = b"".join(bytes(chunk) for chunk in joined_decimal(ids, b","))
+        assert joined == ",".join(map(str, ids)).encode()
 
 
 def _eager_replay(transcript):

@@ -1,8 +1,9 @@
 """Guards on what the benchmark harness and the scripts rely on: every
 module imports on its own, every function the per-layer tracer wraps
 still exists under its name, its packet counter reads a session's packet
-log, each timed workload's warm-up session passes the workload's own
-check, and the attack sweep script runs."""
+log, each timed workload's warm-up session and a protocol session long
+enough for several transcript chunks pass the workload's own check, and
+the attack sweep script runs."""
 
 import importlib
 import importlib.util
@@ -78,6 +79,15 @@ def workloads():
 @pytest.mark.parametrize("name", ["simulate-eve", "protocol-session", "abort-scan"])
 def test_workload_warm_up_passes_its_check(workloads, tmp_path, name):
     session = workloads.WORKLOADS[name](seed=1, workdir=tmp_path).warm_up()
+    checked = session.check(session.run())
+    assert checked.law == [] and checked.verdict == []
+    assert checked.false_abort is None
+
+
+def test_protocol_session_check_passes_across_chunks(workloads, tmp_path):
+    # 40,000 rounds: three transcript chunks and five-digit round ids
+    workload = workloads.ProtocolSession(seed=1, workdir=tmp_path)
+    session = workload._session(40_000, 1)
     checked = session.check(session.run())
     assert checked.law == [] and checked.verdict == []
     assert checked.false_abort is None
