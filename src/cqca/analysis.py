@@ -12,6 +12,7 @@ that bound; its unique zero on [0, pi/2] is the security threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -141,11 +142,13 @@ def key_rate(theta: float) -> SecurityPoint:
     )
 
 
+@functools.cache
 def security_threshold() -> tuple[float, float]:
     """Probe strength at which the key rate crosses zero, by bisection.
 
     K is 1 at theta = 0 and -1 at theta = pi/2, so the root is bracketed;
-    returns (theta_star, error rate at theta_star).
+    returns (theta_star, error rate at theta_star), bisected once per
+    process.
     """
     lo, hi = 0.0, math.pi / 2
     k_lo = key_rate(lo).key_rate

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -131,7 +132,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused after."""
     parser = _Parser(prog="cqca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig(command="simulate")

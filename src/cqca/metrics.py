@@ -21,15 +21,17 @@ secret key is distillable.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .analysis import error_from_visibility, security_threshold
-from .channel import AttackConfig, ChannelConfig
+from .channel import _LAW_CACHE_SIZE, AttackConfig, ChannelConfig
 from .photonics import Action, Outcome
 
 if TYPE_CHECKING:
@@ -243,6 +245,33 @@ def _binom_sigma(p: float, m: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / m)
 
 
+@dataclass(frozen=True, slots=True)
+class _HonestBaseline:
+    """What the abort gates read off the honest law of one channel: the
+    expected figures of merit, the per-round variance of an anti-correlated
+    cell's (n1 - n2)/m, and the NULL fraction."""
+
+    expected: Mapping[str, float]
+    bias_variance: float
+    null_fraction: float
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _honest_baseline(channel_cfg: ChannelConfig) -> _HonestBaseline:
+    from .parties import outcome_table  # parties imports this module
+
+    honest = outcome_table(AttackConfig.none(), channel_cfg)
+    # A cell's D1 and D2 counts are multinomial: Var((n1 - n2)/m) is
+    # (p1 + p2 - (p1 - p2)^2)/m.  The honest law treats both cells alike.
+    total, n1, n2 = map(sum, zip(*_anti_correlated_cells(honest)))
+    p1, p2 = n1 / total, n2 / total
+    return _HonestBaseline(
+        expected=MappingProxyType(table_merits(honest, honest, 1)),
+        bias_variance=p1 + p2 - (p1 - p2) ** 2,
+        null_fraction=_null_fraction(honest, 1),
+    )
+
+
 def abort_decision(report: MeritReport, channel_cfg: ChannelConfig = ChannelConfig()) -> Verdict:
     """Judge a merit report by the fixed abort rule.
 
@@ -250,12 +279,11 @@ def abort_decision(report: MeritReport, channel_cfg: ChannelConfig = ChannelConf
     honest law of ``channel_cfg`` by more than max(TOLERANCE_FLOOR,
     TOLERANCE_Z * sigma); the error rate and the visibility are instead
     gated by ``ERROR_RATE_CEILING``, since they degrade smoothly and stay
-    acceptable while a positive key rate survives.
+    acceptable while a positive key rate survives.  The honest baseline is
+    derived once per channel.
     """
-    from .parties import outcome_table  # parties imports this module
-
-    honest = outcome_table(AttackConfig.none(), channel_cfg)
-    expected = table_merits(honest, honest, 1)
+    baseline = _honest_baseline(channel_cfg)
+    expected = baseline.expected
 
     def deviates(figure: str, sigma: float) -> bool:
         tolerance = max(TOLERANCE_FLOOR, TOLERANCE_Z * sigma)
@@ -263,15 +291,11 @@ def abort_decision(report: MeritReport, channel_cfg: ChannelConfig = ChannelConf
 
     counts = report.counts
     coincidence_sigma = _binom_sigma(expected["coincidence_rate"], counts.get("aa", 0))
-    # A cell's D1 and D2 counts are multinomial: Var((n1 - n2)/m) is
-    # (p1 + p2 - (p1 - p2)^2)/m.  The honest law treats both cells alike.
-    total, n1, n2 = map(sum, zip(*_anti_correlated_cells(honest)))
-    p1, p2 = n1 / total, n2 / total
     m_cell = min(counts.get("af", 0), counts.get("fa", 0))
-    bias_sigma = math.sqrt((p1 + p2 - (p1 - p2) ** 2) / m_cell) if m_cell > 0 else math.inf
+    bias_sigma = math.sqrt(baseline.bias_variance / m_cell) if m_cell > 0 else math.inf
     multi_sigma = _binom_sigma(expected["multi_rate"], report.n)
     # The loss estimate is 2 * (NULL fraction) - 1, twice a binomial rate.
-    loss_sigma = 2.0 * _binom_sigma(_null_fraction(honest, 1), report.n)
+    loss_sigma = 2.0 * _binom_sigma(baseline.null_fraction, report.n)
     gates = (
         ("coincidence", deviates("coincidence_rate", coincidence_sigma)),
         ("visibility", error_from_visibility(report.visibility) >= ERROR_RATE_CEILING),

@@ -9,7 +9,8 @@ body, and a terminator-plus-checksum footer.
 
 Rounds are drawn in bulk from the exact per-round outcome law
 (``outcome_law``): one small table per settings cell, computed once per
-(attack, channel) pair by walking every branch of the amplitude model.
+(attack, channel) pair by walking every branch of the amplitude model and
+laid out once as a sampling plan.
 A run holds its rounds as columns (``RoundTable``): each round's row of
 that law, its sampled flag and its sifted bit.  Eve's guesses are columns
 too (``adversary.EveGuesses``).  The packet log is derived from the
@@ -36,6 +37,7 @@ import numpy as np
 from . import metrics
 from .adversary import EveGuesses, honest_outcome_branches, single_path_branches
 from .channel import (
+    _LAW_CACHE_SIZE,
     AttackConfig,
     AttackKind,
     AttackTarget,
@@ -488,10 +490,6 @@ def _station_branches(setting: Action, clicked: bool, dark_rate: float) -> Branc
     return [(1.0, clicked)]
 
 
-#: Distinct (attack, channel) pairs whose law and table stay cached.
-_LAW_CACHE_SIZE = 32
-
-
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
 def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
     """The exact per-round outcome law, walked without random draws.
@@ -542,6 +540,60 @@ def outcome_table(attack: AttackConfig, channel_cfg: ChannelConfig) -> Mapping[C
     return MappingProxyType(table)
 
 
+@dataclass(frozen=True, slots=True)
+class _SamplingPlan:
+    """What ``_draw_rounds`` reads of one (attack, channel) law, all arrays
+    read-only.
+
+    A round's table code is 2*[B absorbs] + [C absorbs] + 4*attacked.
+    ``cdf[code]`` is that table's cumulative row probabilities, normalised
+    and padded with +inf to the widest table; ``first_row[code]`` is its
+    first row in ``cells``.  ``p_one`` is Eve's P(guess 1) by row (NaN
+    where none) and ``probe`` marks the rows that carry her probe.
+    """
+
+    cdf: np.ndarray
+    first_row: np.ndarray
+    cells: tuple[Cell, ...]
+    p_one: np.ndarray
+    probe: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _sampling_plan(attack: AttackConfig, channel_cfg: ChannelConfig) -> _SamplingPlan:
+    """The law's tables laid out for ``_select_rows``, once per (attack,
+    channel) pair."""
+    law = outcome_law(attack, channel_cfg)
+    cdf = np.full((len(law), max(map(len, law.values()))), np.inf)
+    first_row = np.empty(len(law), dtype=np.int16)
+    cells: list[Cell] = []
+    p_one: list[float] = []
+    for (setting_b, setting_c, attacked), law_rows in law.items():
+        code = _CELLS.index((setting_b, setting_c)) + 4 * attacked
+        cumulative = np.cumsum([r.probability for r in law_rows])
+        cdf[code, : len(law_rows)] = cumulative / cumulative[-1]
+        first_row[code] = len(cells)
+        for r in law_rows:
+            cells.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
+            p_one.append(np.nan if r.p_one is None else r.p_one)
+    p_one_by_row = np.asarray(p_one)
+    probe = ~np.isnan(p_one_by_row)
+    for array in (cdf, first_row, p_one_by_row, probe):
+        array.flags.writeable = False
+    return _SamplingPlan(cdf, first_row, tuple(cells), p_one_by_row, probe)
+
+
+def _select_rows(plan: _SamplingPlan, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each round's row: its table's first row plus the number of that
+    table's CDF entries at or below its uniform ``u``, which is
+    ``np.searchsorted(cdf, u, side="right")``.  Counted one CDF column at a
+    time, so no rounds-by-width array is built."""
+    rows = plan.first_row.take(table)
+    for column in plan.cdf.T:
+        rows += column.take(table) <= u
+    return rows
+
+
 def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(count)]
@@ -564,29 +616,17 @@ def _draw_rounds(
     the round table, the ids of the rounds that carry Eve's probe, and her
     P(guess 1) on each of them.
     """
-    law = outcome_law(attack, channel_cfg)
+    plan = _sampling_plan(attack, channel_cfg)
     absorb_b = rng_bob.random(n) >= 0.5
     absorb_c = rng_charlie.random(n) >= 0.5
-    table = 2 * absorb_b.astype(np.uint8) + absorb_c
+    table = 2 * absorb_b + absorb_c
     if attack.kind in _SOURCE_ATTACKS:
-        table += 4 * (rng_attackers.random(n) < attack.p).astype(np.uint8)
-    u = rng_quantum.random(n)
-    rows = np.empty(n, dtype=np.int16)
-    cells: list[Cell] = []
-    p_one: list[float] = []
-    for (setting_b, setting_c, attacked), law_rows in law.items():
-        cdf = np.cumsum([r.probability for r in law_rows])
-        cdf /= cdf[-1]
-        members = np.flatnonzero(table == _CELLS.index((setting_b, setting_c)) + 4 * attacked)
-        rows[members] = len(cells) + np.searchsorted(cdf, u[members], side="right")
-        for r in law_rows:
-            cells.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
-            p_one.append(np.nan if r.p_one is None else r.p_one)
-    p_one_by_row = np.asarray(p_one)
-    probed = np.flatnonzero(~np.isnan(p_one_by_row)[rows])
+        table += 4 * (rng_attackers.random(n) < attack.p)
+    rows = _select_rows(plan, table, rng_quantum.random(n))
+    probed = np.flatnonzero(plan.probe.take(rows))
     unsifted = np.full(n, -1, dtype=np.int8)
-    rounds = RoundTable(rows, tuple(cells), np.arange(n), np.zeros(n, dtype=bool), unsifted)
-    return rounds, probed, p_one_by_row[rows[probed]]
+    rounds = RoundTable(rows, plan.cells, np.arange(n), np.zeros(n, dtype=bool), unsifted)
+    return rounds, probed, plan.p_one.take(rows.take(probed))
 
 
 def _eve_guesses(

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqca import cli
 from cqca.channel import AttackKind, AttackTarget, FakeStrategy
 from cqca.cli import (
     RunConfig,
+    build_parser,
     format_effective_config,
     main,
     parse_config_file,
@@ -295,6 +297,25 @@ class TestRobustness:
         assert code == 1
         assert "error: seed must be non-negative" in err
         assert "Traceback" not in err and out == ""
+
+    def test_reused_parser_behaves_like_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        assert build_parser() is build_parser()
+        transcript = tmp_path / "t.txt"
+        sequence = (
+            ("protocol", "--n", "many"),
+            ("protocol", "--n", "2000", "--seed", "3", "--output", str(transcript)),
+            ("simulate", "--n", "2000", "--seed", "3", "--format", "csv"),
+        )
+
+        def run_sequence():
+            runs = [run_cli(capsys, *argv) for argv in sequence]
+            return runs, transcript.read_bytes()
+
+        reused = run_sequence()
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_sequence()
+        assert [code for code, _, _ in reused[0]] == [1, 0, 0]
+        assert reused == fresh
 
 
 def _rate(high: float):

@@ -1,5 +1,6 @@
 """The exact per-round outcome law: normalization, the paper's closed
-forms read off it exactly, and the bulk sampler and the per-round
+forms read off it exactly, the sampling plan's row selection against
+``np.searchsorted`` on each table, and the bulk sampler and the per-round
 primitives checked against it by one goodness-of-fit test."""
 
 import itertools
@@ -29,7 +30,7 @@ from cqca.channel import (
     transmit_onward,
 )
 from cqca.metrics import expected_multi_rate, tabulate
-from cqca.parties import outcome_law, outcome_table, run_rounds
+from cqca.parties import _sampling_plan, _select_rows, outcome_law, outcome_table, run_rounds
 from cqca.photonics import (
     Action,
     Arm,
@@ -103,6 +104,44 @@ def test_each_law_is_walked_once_and_read_only(walk):
         law[key] = law[key]
     with pytest.raises(TypeError):
         del law[key]
+
+
+def test_sampling_plan_is_derived_once_and_read_only():
+    attack, channel = AttackConfig.alice_double_path(0.5), LOSSY
+    plan = _sampling_plan(attack, channel)
+    assert _sampling_plan(AttackConfig.alice_double_path(0.5), LOSSY) is plan
+    for array in (plan.cdf, plan.first_row, plan.p_one, plan.probe):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(AttributeError):
+        plan.cdf = plan.cdf.copy()
+
+
+@pytest.mark.parametrize(
+    "attack", ATTACKS, ids=lambda a: f"{a.kind.value}-{a.strategy.value}-{a.target.value}"
+)
+@pytest.mark.parametrize("channel", [ChannelConfig(), LOSSY], ids=["lossless", "lossy"])
+def test_row_selection_is_searchsorted_on_each_table(attack, channel):
+    law = outcome_law(attack, channel)
+    plan = _sampling_plan(attack, channel)
+    rng = rng_with(308)
+    codes, uniforms, expected = [], [], []
+    cells, p_one = [], []
+    for (sb, sc, attacked), rows in law.items():
+        cdf = np.cumsum([r.probability for r in rows])
+        cdf /= cdf[-1]
+        crafted = np.array([0.0, *cdf[cdf < 1.0], np.nextafter(1.0, 0.0)])
+        u = np.concatenate([crafted, rng.random(500)])
+        codes.append(np.full(len(u), 2 * (sb is A) + (sc is A) + 4 * attacked))
+        uniforms.append(u)
+        expected.append(len(cells) + np.searchsorted(cdf, u, side="right"))
+        cells += [(sb, sc, r.outcome, r.click_b, r.click_c, r.multi_count) for r in rows]
+        p_one += [np.nan if r.p_one is None else r.p_one for r in rows]
+    assert plan.cells == tuple(cells)
+    np.testing.assert_array_equal(plan.p_one, p_one)  # NaN matches NaN
+    np.testing.assert_array_equal(plan.probe, ~np.isnan(p_one))
+    selected = _select_rows(plan, np.concatenate(codes), np.concatenate(uniforms))
+    np.testing.assert_array_equal(selected, np.concatenate(expected))
 
 
 def test_honest_law_is_the_outcome_table():

@@ -21,6 +21,7 @@ from cqca.metrics import (
     ERROR_RATE_CEILING,
     TOLERANCE_FLOOR,
     MeritReport,
+    _honest_baseline,
     abort_decision,
     compute_merit_report,
     expected_multi_rate,
@@ -255,6 +256,16 @@ class TestAbortDecision:
         report = dataclasses.replace(report, bias=scale * tolerance)
         reasons = abort_decision(report).abort_reasons
         assert reasons == (("bias",) if aborts else ())
+
+    def test_honest_baseline_is_derived_once_and_read_only(self):
+        channel = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+        baseline = _honest_baseline(channel)
+        assert _honest_baseline(ChannelConfig(loss_rate=0.2, dark_rate=0.01)) is baseline
+        assert dict(baseline.expected) == theoretical_merits(AttackConfig.none(), channel)
+        with pytest.raises(TypeError):
+            baseline.expected["bias"] = 1.0
+        with pytest.raises(AttributeError):
+            baseline.null_fraction = 0.0
 
     def test_ceiling_is_the_security_threshold(self):
         assert ERROR_RATE_CEILING == security_threshold()[1]

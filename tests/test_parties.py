@@ -290,6 +290,35 @@ class TestProtocolSession:
         c = run_protocol(3_000, 0.25, seed=8)
         assert transcript_lines(a) != transcript_lines(c)
 
+    @pytest.mark.parametrize("attack,channel", [
+        (AttackConfig.none(), ChannelConfig()),
+        (AttackConfig.eve_probe(0.3), ChannelConfig()),
+        (AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+        (AttackConfig.alice_single_path(0.5), ChannelConfig()),
+        (AttackConfig.alice_double_path(0.5), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+    ], ids=["honest", "eve", "eve-lossy", "single", "double-lossy"])
+    def test_scribbled_session_does_not_reach_the_next(self, attack, channel):
+        def session(seed):
+            return run_protocol(5_000, 0.25, attack, seed, channel_cfg=channel)
+
+        def columns(t):
+            return (
+                t.rounds.row_ids, t.rounds.round_ids, t.rounds.sampled, t.rounds.sifted_bits,
+                t.eve_records.round_ids, t.eve_records.guesses, t.eve_records.true_bits,
+            )
+
+        def snapshot(t):
+            keys = (t.key_bob, t.key_charlie, t.key_round_ids)
+            data = [c.tobytes() for c in columns(t)]
+            return str(t.verdict), repr(t.report), keys, t.rounds.cells, data
+
+        before = snapshot(session(5))
+        scribbled = session(6)
+        for column in columns(scribbled):
+            column[:] = 1
+        scribbled.report.counts.clear()
+        assert snapshot(session(5)) == before
+
     def test_double_path_attack_aborts_on_coincidence(self):
         transcript = run_protocol(
             10_000, 0.25, attack=AttackConfig.alice_double_path(1.0), seed=11

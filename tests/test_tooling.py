@@ -1,9 +1,10 @@
 """Guards on what the benchmark harness and the scripts rely on: every
 module imports on its own, every function the per-layer tracer wraps
 still exists under its name, its packet counter reads a session's packet
-log, each timed workload's warm-up session and a protocol session long
-enough for several transcript chunks pass the workload's own check, and
-the attack sweep script runs."""
+log, each timed workload's warm-up session, one abort-scan session of
+every scan point and a protocol session long enough for several
+transcript chunks pass the workload's own check, and the attack sweep
+script runs."""
 
 import importlib
 import importlib.util
@@ -82,6 +83,16 @@ def test_workload_warm_up_passes_its_check(workloads, tmp_path, name):
     checked = session.check(session.run())
     assert checked.law == [] and checked.verdict == []
     assert checked.false_abort is None
+
+
+def test_abort_scan_check_passes_on_every_point(workloads, tmp_path):
+    # one block is one session of every scan point, in a seeded order
+    workload = workloads.AbortScan(seed=1, workdir=tmp_path)
+    sessions = workload.block(0)
+    assert sorted(s.label for s in sessions) == sorted(p.label for p in workload.scan)
+    for session in sessions:
+        checked = session.check(session.run())
+        assert (checked.law, checked.verdict) == ([], []), session.label
 
 
 def test_protocol_session_check_passes_across_chunks(workloads, tmp_path):
