@@ -193,8 +193,7 @@ def theoretical_merits(attack: AttackConfig, channel_cfg: ChannelConfig) -> dict
     is ever announced, is left out."""
     from . import metrics, parties  # metrics imports this module
 
-    table = parties.outcome_table(attack, channel_cfg)
-    return metrics.table_merits(table, table, 1, partial=True)
+    return metrics.table_merits(parties.outcome_table(attack, channel_cfg), partial=True)
 
 
 def _check_angle(theta: float) -> None:

@@ -6,10 +6,12 @@ reflection, the announcement bias on anti-correlated settings, and the raw
 key error rate among D1 announcements.  Two channel figures, the
 multiple-count rate and the loss rate, are estimated from the full
 announcement stream since they need no setting information.  Every
-estimate reads its counts off one contingency table of the rounds over
-settings, outcome, station clicks and the multiple-count flag; run on the
-exact outcome law as a table of probabilities (``parties.outcome_table``,
-n = 1), the same estimators give the expected values.
+estimate is arithmetic on a few integer tallies (``TALLIES``), each a sum
+over contingency cells (settings, outcome, station clicks and the
+multiple-count flag).  A sample's tallies are one product of its cell
+layout's tally matrix with its count per cell; summed over the exact
+outcome law as probabilities (``parties.outcome_table``, n = 1), the same
+tallies give the expected values.
 
 The abort rule has fixed tolerances.  It gates the cheating signatures
 (coincidence, bias, multi count, loss) by max(``TOLERANCE_FLOOR``,
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .channel import _LAW_CACHE_SIZE, AttackConfig, ChannelConfig
 from .photonics import Action, Outcome
 
 if TYPE_CHECKING:
-    from .parties import RoundTable  # parties imports this module
+    from .parties import Cell, RoundTable  # parties imports this module
 
 #: Raw-key error rate e* at which the key rate crosses zero; the abort rule
 #: enforces this ceiling on the measured error rate and on the error rate
@@ -76,88 +77,96 @@ class MeritReport:
     counts: dict[str, int] = field(default_factory=dict)
 
 
-def tabulate(rounds: RoundTable) -> Counter:
-    """Count the rounds in each contingency cell (setting_b, setting_c,
-    outcome_alice, click_b, click_c, multi_count): one count over a round
-    table's row ids, folded onto its cells.  Every estimate below reads its
-    counts off such a table."""
-    table = Counter()
-    counts = np.bincount(rounds.row_ids, minlength=len(rounds.cells)).tolist()
-    for cell, k in zip(rounds.cells, counts):
-        if k:
-            table[cell] += k
-    return table
+_A, _F = Action.A, Action.F
+_D1, _D2, _NULL = Outcome.D1, Outcome.D2, Outcome.NULL
+
+#: The counts the figures of merit read off a sample, each a predicate on a
+#: contingency cell (setting_b, setting_c, outcome_alice, click_b, click_c,
+#: multi_count).  The sample's own NULL and multiple-count tallies give way
+#: to the full stream's.
+TALLIES = MappingProxyType({
+    "disclosed": lambda cell: True,
+    "aa": lambda cell: cell[:2] == (_A, _A),
+    "aa_both_clicked": lambda cell: cell[:2] == (_A, _A) and cell[3] and cell[4],
+    "ff_d1": lambda cell: cell[:3] == (_F, _F, _D1),
+    "ff_d2": lambda cell: cell[:3] == (_F, _F, _D2),
+    "ff_clicks": lambda cell: cell[:2] == (_F, _F) and cell[2] is not _NULL,
+    "af": lambda cell: cell[:2] == (_A, _F),
+    "af_d1": lambda cell: cell[:3] == (_A, _F, _D1),
+    "af_d2": lambda cell: cell[:3] == (_A, _F, _D2),
+    "fa": lambda cell: cell[:2] == (_F, _A),
+    "fa_d1": lambda cell: cell[:3] == (_F, _A, _D1),
+    "fa_d2": lambda cell: cell[:3] == (_F, _A, _D2),
+    "d1": lambda cell: cell[2] is _D1,
+    "d1_correlated": lambda cell: cell[2] is _D1 and cell[0] is cell[1],
+    "null": lambda cell: cell[2] is _NULL,
+    "multi": lambda cell: cell[5],
+})
 
 
-def _coincidence_rate(table: Mapping) -> float:
-    cell = both = 0
-    for (setting_b, setting_c, _, click_b, click_c, _), k in table.items():
-        if setting_b is Action.A and setting_c is Action.A:
-            cell += k
-            if click_b and click_c:
-                both += k
-    if not cell:
-        raise InsufficientSample("no disclosed (A,A) rounds")
-    return both / cell
+def tally_matrix(cells: Sequence[Cell]) -> np.ndarray:
+    """Read-only 0/1 matrix of shape (tally, cell): which cells each of
+    ``TALLIES`` counts, so a sample's tallies are this matrix times its
+    count per cell."""
+    matrix = np.array(
+        [[member(cell) for cell in cells] for member in TALLIES.values()], dtype=np.int64
+    )
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _visibility(table: Mapping) -> float:
-    n1 = n2 = 0
-    for (setting_b, setting_c, outcome, *_), k in table.items():
-        if setting_b is Action.F and setting_c is Action.F:
-            if outcome is Outcome.D1:
-                n1 += k
-            elif outcome is Outcome.D2:
-                n2 += k
-    if n1 + n2 == 0:
-        raise InsufficientSample("no disclosed (F,F) rounds with a click")
-    return (n2 - n1) / (n1 + n2)
+def _figures(t: Mapping[str, float], n: float, partial: bool = False) -> dict[str, float]:
+    """Every figure of merit from the tallies of a sample out of a stream of
+    n rounds; on tallies of probabilities (n = 1) they are expected values.
+    A figure whose conditional cell is empty raises ``InsufficientSample``,
+    in report order, or is left out when ``partial``.
 
-
-def _anti_correlated_cells(table: Mapping) -> list[list]:
-    """[rounds, D1, D2] in each anti-correlated settings cell."""
-    cells = {(Action.A, Action.F): [0, 0, 0], (Action.F, Action.A): [0, 0, 0]}
-    for (setting_b, setting_c, outcome, *_), k in table.items():
-        counts = cells.get((setting_b, setting_c))
-        if counts is not None:
-            counts[0] += k
-            if outcome is Outcome.D1:
-                counts[1] += k
-            elif outcome is Outcome.D2:
-                counts[2] += k
-    return list(cells.values())
-
-
-def _bias(table: Mapping) -> float:
-    diffs = [abs(n1 - n2) / total for total, n1, n2 in _anti_correlated_cells(table) if total > 0]
-    if not diffs:
-        raise InsufficientSample("no disclosed anti-correlated rounds")
-    return max(diffs)
-
-
-def _error_rate(table: Mapping) -> float:
-    d1_rounds = corr = 0
-    for (setting_b, setting_c, outcome, *_), k in table.items():
-        if outcome is Outcome.D1:
-            d1_rounds += k
-            if setting_b is setting_c:
-                corr += k
-    if d1_rounds == 0:
-        raise InsufficientSample("no disclosed D1 rounds")
-    return corr / d1_rounds
-
-
-def _null_fraction(table: Mapping, n: float) -> float:
-    return sum(k for cell, k in table.items() if cell[2] is Outcome.NULL) / n
-
-
-def _multi_and_loss_rates(table: Mapping, n: float) -> tuple[float, float]:
-    """The loss estimate inverts the dark-free honest NULL law (1 + L)/2,
+    The loss estimate inverts the dark-free honest NULL law (1 + L)/2,
     clamped to [0, 1]; dark clicks announce some NULL rounds, so on a
-    dark-counting channel its honest expectation lies below L."""
-    multi = sum(k for cell, k in table.items() if cell[5])
-    loss = min(1.0, max(0.0, 2.0 * _null_fraction(table, n) - 1.0))
-    return multi / n, loss
+    dark-counting channel its honest expectation lies below L.
+    """
+    n1, n2 = t["ff_d1"], t["ff_d2"]
+    anti = [(t[c], t[c + "_d1"], t[c + "_d2"]) for c in ("af", "fa")]
+    figures = (
+        ("coincidence_rate", t["aa"], "no disclosed (A,A) rounds",
+         lambda: t["aa_both_clicked"] / t["aa"]),
+        ("visibility", n1 + n2, "no disclosed (F,F) rounds with a click",
+         lambda: (n2 - n1) / (n1 + n2)),
+        ("bias", any(m > 0 for m, _, _ in anti), "no disclosed anti-correlated rounds",
+         lambda: max(abs(d1 - d2) / m for m, d1, d2 in anti if m > 0)),
+        ("error_rate", t["d1"], "no disclosed D1 rounds",
+         lambda: t["d1_correlated"] / t["d1"]),
+    )
+    merits = {}
+    for name, support, missing, value in figures:
+        if support:
+            merits[name] = value()
+        elif not partial:
+            raise InsufficientSample(missing)
+    merits["multi_rate"] = t["multi"] / n
+    merits["loss_rate"] = min(1.0, max(0.0, 2.0 * (t["null"] / n) - 1.0))
+    return merits
+
+
+def _table_tallies(table: Mapping[Cell, float]) -> dict[str, float]:
+    """Each tally of a table of counts or probabilities per cell, summed in
+    cell order with Python ``sum``: a float matrix product would move the
+    last bits of the expected figures."""
+    weights = list(table.values())
+    rows = tally_matrix(tuple(table)).tolist()
+    return {
+        name: sum(w for w, member in zip(weights, row) if member)
+        for name, row in zip(TALLIES, rows)
+    }
+
+
+def table_merits(
+    table: Mapping[Cell, float], n: float = 1, partial: bool = False
+) -> dict[str, float]:
+    """Every figure of merit of a table of counts or probabilities per
+    cell, itself the full stream of n rounds; on the exact outcome law
+    (``parties.outcome_table``, n = 1) they are expected values."""
+    return _figures(_table_tallies(table), n, partial)
 
 
 def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
@@ -191,52 +200,22 @@ def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
     return (p_ff + 2.0 * p_anti + p_aa) / 4.0
 
 
-_CELL_COUNTS = {(Action.A, Action.A): "aa", (Action.A, Action.F): "af", (Action.F, Action.A): "fa"}
-
-
-_FIGURES = (
-    ("coincidence_rate", _coincidence_rate),
-    ("visibility", _visibility),
-    ("bias", _bias),
-    ("error_rate", _error_rate),
-)
-
-
-def table_merits(
-    table: Mapping, stream: Mapping, n: float, partial: bool = False
-) -> dict[str, float]:
-    """Every figure of merit read off the contingency tables of the disclosed
-    rounds and of the full stream of n rounds; on tables of probabilities
-    (n = 1) they are expected values.  A figure whose conditional cell is
-    empty raises ``InsufficientSample``, or is left out when ``partial``."""
-    merits = {}
-    for name, estimate in _FIGURES:
-        try:
-            merits[name] = estimate(table)
-        except InsufficientSample:
-            if not partial:
-                raise
-    merits["multi_rate"], merits["loss_rate"] = _multi_and_loss_rates(stream, n)
-    return merits
+def _sample_tallies(rounds: RoundTable) -> dict[str, int]:
+    layout = rounds.layout
+    counts = np.bincount(rounds.row_ids, minlength=len(layout.cells))
+    return dict(zip(TALLIES, (layout.tallies @ counts).tolist()))
 
 
 def compute_merit_report(disclosed: RoundTable, all_rounds: RoundTable, n: int) -> MeritReport:
     """Estimate every figure of merit from a disclosed sample plus the full
-    announcement stream, each tabulated once."""
-    table = tabulate(disclosed)
-    stream = table if all_rounds is disclosed else tabulate(all_rounds)
-
-    counts = {"disclosed": 0, "aa": 0, "ff_clicks": 0, "af": 0, "fa": 0, "d1": 0}
-    for (setting_b, setting_c, outcome, *_), k in table.items():
-        counts["disclosed"] += k
-        if setting_b is Action.F and setting_c is Action.F:
-            if outcome is not Outcome.NULL:
-                counts["ff_clicks"] += k
-        else:
-            counts[_CELL_COUNTS[setting_b, setting_c]] += k
-        if outcome is Outcome.D1:
-            counts["d1"] += k
-    return MeritReport(n=n, counts=counts, **table_merits(table, stream, n))
+    announcement stream: one count over each one's row ids, times its cell
+    layout's tally matrix."""
+    tallies = _sample_tallies(disclosed)
+    if all_rounds is not disclosed:
+        stream = _sample_tallies(all_rounds)
+        tallies["null"], tallies["multi"] = stream["null"], stream["multi"]
+    counts = {name: tallies[name] for name in ("disclosed", "aa", "ff_clicks", "af", "fa", "d1")}
+    return MeritReport(n=n, counts=counts, **_figures(tallies, n))
 
 
 def _binom_sigma(p: float, m: int) -> float:
@@ -260,15 +239,15 @@ class _HonestBaseline:
 def _honest_baseline(channel_cfg: ChannelConfig) -> _HonestBaseline:
     from .parties import outcome_table  # parties imports this module
 
-    honest = outcome_table(AttackConfig.none(), channel_cfg)
+    t = _table_tallies(outcome_table(AttackConfig.none(), channel_cfg))
     # A cell's D1 and D2 counts are multinomial: Var((n1 - n2)/m) is
     # (p1 + p2 - (p1 - p2)^2)/m.  The honest law treats both cells alike.
-    total, n1, n2 = map(sum, zip(*_anti_correlated_cells(honest)))
-    p1, p2 = n1 / total, n2 / total
+    total = t["af"] + t["fa"]
+    p1, p2 = (t["af_d1"] + t["fa_d1"]) / total, (t["af_d2"] + t["fa_d2"]) / total
     return _HonestBaseline(
-        expected=MappingProxyType(table_merits(honest, honest, 1)),
+        expected=MappingProxyType(_figures(t, 1)),
         bias_variance=p1 + p2 - (p1 - p2) ** 2,
-        null_fraction=_null_fraction(honest, 1),
+        null_fraction=t["null"],
     )
 
 

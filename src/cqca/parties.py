@@ -12,9 +12,9 @@ Rounds are drawn in bulk from the exact per-round outcome law
 (attack, channel) pair by walking every branch of the amplitude model and
 laid out once as a sampling plan.
 A run holds its rounds as columns (``RoundTable``): each round's row of
-that law, its sampled flag and its sifted bit.  Eve's guesses are columns
-too (``adversary.EveGuesses``).  The packet log is derived from the
-columns when it is read (``PacketStream``).
+that law's ``CellLayout``, its sampled flag and its sifted bit.  Eve's
+guesses are columns too (``adversary.EveGuesses``).  The packet log is
+derived from the columns when it is read (``PacketStream``).
 
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
@@ -209,21 +209,67 @@ class RoundRecord:
 Cell = tuple[Action, Action, Outcome, bool, bool, bool]
 
 
+def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
+    """Key bit a D1 announcement implies in a cell: (A,F) -> 0, (F,A) -> 1,
+    and -1 where correlated settings carry no agreed bit."""
+    if setting_b is Action.A and setting_c is Action.F:
+        return 0
+    if setting_b is Action.F and setting_c is Action.A:
+        return 1
+    return -1
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class CellLayout:
+    """The contingency cells a run can produce, and what each row of them
+    implies, derived once per layout and read-only: the merit tallies each
+    row counts toward (``metrics.tally_matrix``), whether it announces D1,
+    and the key bit Bob and Charlie take from it (Bob: A -> 0, F -> 1;
+    Charlie: F -> 0, A -> 1) beside the canonical sifted bit."""
+
+    cells: tuple[Cell, ...]
+    tallies: np.ndarray
+    d1: np.ndarray
+    bit_b: np.ndarray
+    bit_c: np.ndarray
+    sifted_bit: np.ndarray
+
+    @classmethod
+    def of(cls, cells: Sequence[Cell]) -> CellLayout:
+        def column(value: Callable[..., object], dtype) -> np.ndarray:
+            array = np.array([value(*cell) for cell in cells], dtype=dtype)
+            array.flags.writeable = False
+            return array
+
+        return cls(
+            tuple(cells),
+            metrics.tally_matrix(cells),
+            column(lambda _b, _c, outcome, *_: outcome is Outcome.D1, bool),
+            column(lambda setting_b, *_: setting_b is Action.F, np.int8),
+            column(lambda _b, setting_c, *_: setting_c is Action.A, np.int8),
+            column(canonical_sifted_bit, np.int8),
+        )
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class RoundTable:
     """A run's rounds as columns.
 
-    ``row_ids`` gives each round's row in ``cells``, the few contingency
+    ``row_ids`` gives each round's row in ``layout``, the few contingency
     cells the run can produce; the other columns hold each round's id, its
     sampled flag and its sifted bit (-1 for none).  Iterating yields one
     ``RoundRecord`` per round.
     """
 
     row_ids: np.ndarray
-    cells: tuple[Cell, ...]
+    layout: CellLayout
     round_ids: np.ndarray
     sampled: np.ndarray
     sifted_bits: np.ndarray
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        return self.layout.cells
 
     @classmethod
     def from_records(cls, records: Iterable[RoundRecord]) -> RoundTable:
@@ -237,7 +283,7 @@ class RoundTable:
             bits.append(-1 if r.sifted_bit is None else r.sifted_bit)
         return cls(
             np.array(rows, dtype=np.int16),
-            tuple(index),
+            CellLayout.of(tuple(index)),
             np.array(ids, dtype=np.int64),
             np.array(sampled, dtype=bool),
             np.array(bits, dtype=np.int8),
@@ -256,15 +302,11 @@ class RoundTable:
         """The rounds at the given positions."""
         return RoundTable(
             self.row_ids[positions],
-            self.cells,
+            self.layout,
             self.round_ids[positions],
             self.sampled[positions],
             self.sifted_bits[positions],
         )
-
-    def per_round(self, value: Callable[..., object], dtype) -> np.ndarray:
-        """``value(*cell)`` of every round, evaluated once per cell."""
-        return np.array([value(*cell) for cell in self.cells], dtype=dtype)[self.row_ids]
 
 
 _SAMPLE_IDS_PER_PACKET = 8000
@@ -349,27 +391,15 @@ class SimulationResult:
     eve_records: EveGuesses
 
 
-def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
-    """Key bit a D1 announcement implies in a cell: (A,F) -> 0, (F,A) -> 1,
-    and -1 where correlated settings carry no agreed bit."""
-    if setting_b is Action.A and setting_c is Action.F:
-        return 0
-    if setting_b is Action.F and setting_c is Action.A:
-        return 1
-    return -1
-
-
 def _key_positions(rounds: RoundTable) -> np.ndarray:
     """Positions of the unsampled D1 rounds, the rounds both stations key on."""
-    d1 = rounds.per_round(lambda _b, _c, outcome, *_: outcome is Outcome.D1, bool)
-    return np.flatnonzero(d1 & ~rounds.sampled)
+    return np.flatnonzero(rounds.layout.d1.take(rounds.row_ids) & ~rounds.sampled)
 
 
 def _station_keys(key_rounds: RoundTable) -> tuple[list[int], list[int]]:
     """Bob's and Charlie's bit on each of the given key rounds."""
-    key_bob = key_rounds.per_round(lambda setting_b, *_: setting_b is Action.F, np.int8)
-    key_charlie = key_rounds.per_round(lambda _b, setting_c, *_: setting_c is Action.A, np.int8)
-    return key_bob.tolist(), key_charlie.tolist()
+    layout, rows = key_rounds.layout, key_rounds.row_ids
+    return layout.bit_b.take(rows).tolist(), layout.bit_c.take(rows).tolist()
 
 
 def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
@@ -548,13 +578,13 @@ class _SamplingPlan:
     A round's table code is 2*[B absorbs] + [C absorbs] + 4*attacked.
     ``cdf[code]`` is that table's cumulative row probabilities, normalised
     and padded with +inf to the widest table; ``first_row[code]`` is its
-    first row in ``cells``.  ``p_one`` is Eve's P(guess 1) by row (NaN
+    first row in ``layout``.  ``p_one`` is Eve's P(guess 1) by row (NaN
     where none) and ``probe`` marks the rows that carry her probe.
     """
 
     cdf: np.ndarray
     first_row: np.ndarray
-    cells: tuple[Cell, ...]
+    layout: CellLayout
     p_one: np.ndarray
     probe: np.ndarray
 
@@ -580,7 +610,7 @@ def _sampling_plan(attack: AttackConfig, channel_cfg: ChannelConfig) -> _Samplin
     probe = ~np.isnan(p_one_by_row)
     for array in (cdf, first_row, p_one_by_row, probe):
         array.flags.writeable = False
-    return _SamplingPlan(cdf, first_row, tuple(cells), p_one_by_row, probe)
+    return _SamplingPlan(cdf, first_row, CellLayout.of(cells), p_one_by_row, probe)
 
 
 def _select_rows(plan: _SamplingPlan, table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -594,19 +624,21 @@ def _select_rows(plan: _SamplingPlan, table: np.ndarray, u: np.ndarray) -> np.nd
     return rows
 
 
-def _spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(count)]
+#: A session's random streams by use: stream i is child i of the session
+#: seed's ``SeedSequence``.
+_BOB, _CHARLIE, _ATTACKERS, _QUANTUM, _EVE, _SAMPLER = range(6)
+
+
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """The session's stream ``index``, built alone: its state is that of
+    ``SeedSequence(seed).spawn(6)[index]``.  A session builds only the
+    streams it reads."""
+    child = np.random.SeedSequence(seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(child))
 
 
 def _draw_rounds(
-    n: int,
-    attack: AttackConfig,
-    channel_cfg: ChannelConfig,
-    rng_bob: np.random.Generator,
-    rng_charlie: np.random.Generator,
-    rng_attackers: np.random.Generator,
-    rng_quantum: np.random.Generator,
+    n: int, attack: AttackConfig, channel_cfg: ChannelConfig, seed: int
 ) -> tuple[RoundTable, np.ndarray, np.ndarray]:
     """Draw n rounds in bulk from the outcome law.
 
@@ -617,30 +649,27 @@ def _draw_rounds(
     P(guess 1) on each of them.
     """
     plan = _sampling_plan(attack, channel_cfg)
-    absorb_b = rng_bob.random(n) >= 0.5
-    absorb_c = rng_charlie.random(n) >= 0.5
+    absorb_b = _stream(seed, _BOB).random(n) >= 0.5
+    absorb_c = _stream(seed, _CHARLIE).random(n) >= 0.5
     table = 2 * absorb_b + absorb_c
     if attack.kind in _SOURCE_ATTACKS:
-        table += 4 * (rng_attackers.random(n) < attack.p)
-    rows = _select_rows(plan, table, rng_quantum.random(n))
+        table += 4 * (_stream(seed, _ATTACKERS).random(n) < attack.p)
+    rows = _select_rows(plan, table, _stream(seed, _QUANTUM).random(n))
     probed = np.flatnonzero(plan.probe.take(rows))
     unsifted = np.full(n, -1, dtype=np.int8)
-    rounds = RoundTable(rows, plan.cells, np.arange(n), np.zeros(n, dtype=bool), unsifted)
+    rounds = RoundTable(rows, plan.layout, np.arange(n), np.zeros(n, dtype=bool), unsifted)
     return rounds, probed, plan.p_one.take(rows.take(probed))
 
 
 def _eve_guesses(
-    rounds: RoundTable,
-    probed: np.ndarray,
-    p_one: np.ndarray,
-    rng_eve: np.random.Generator,
+    rounds: RoundTable, probed: np.ndarray, p_one: np.ndarray, seed: int
 ) -> EveGuesses:
     """Eve's Helstrom guesses on the probed rounds, one uniform each in
-    round order, beside the bit the stations shared."""
-    guesses = (rng_eve.random(len(probed)) < p_one).astype(np.int8)
-    probed_rounds = rounds.take(probed)
-    true_bits = probed_rounds.per_round(canonical_sifted_bit, np.int8)
-    return EveGuesses(probed_rounds.round_ids, guesses, true_bits)
+    round order, beside the bit the stations shared.  Her stream is built
+    only when she measures a round."""
+    uniforms = _stream(seed, _EVE).random(len(probed)) if len(probed) else np.empty(0)
+    true_bits = rounds.layout.sifted_bit.take(rounds.row_ids.take(probed))
+    return EveGuesses(rounds.round_ids.take(probed), (uniforms < p_one).astype(np.int8), true_bits)
 
 
 def run_rounds(
@@ -658,12 +687,8 @@ def run_rounds(
         raise ValueError("need at least one round")
     attack.validate()
     channel_cfg.validate()
-    rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, _ = _spawn_streams(seed, 6)
-    rounds, probed, p_one = _draw_rounds(
-        n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
-    )
-    eve_records = _eve_guesses(rounds, probed, p_one, rng_eve)
-    return SimulationResult(rounds=rounds, eve_records=eve_records)
+    rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
+    return SimulationResult(rounds=rounds, eve_records=_eve_guesses(rounds, probed, p_one, seed))
 
 
 def run_protocol(
@@ -688,13 +713,8 @@ def run_protocol(
         raise ValueError("test fraction f must lie in (0, 1)")
     attack.validate()
     channel_cfg.validate()
-    rng_bob, rng_charlie, rng_attackers, rng_quantum, rng_eve, rng_sampler = _spawn_streams(
-        seed, 6
-    )
-    rounds, probed, p_one = _draw_rounds(
-        n, attack, channel_cfg, rng_bob, rng_charlie, rng_attackers, rng_quantum
-    )
-    sampled_ids = np.sort(rng_sampler.choice(n, size=int(n * f), replace=False))
+    rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
+    sampled_ids = np.sort(_stream(seed, _SAMPLER).choice(n, size=int(n * f), replace=False))
     rounds.sampled[sampled_ids] = True
     report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
     verdict = metrics.abort_decision(report, channel_cfg)
@@ -706,11 +726,11 @@ def run_protocol(
     if verdict.key_produced:
         key_ids = _key_positions(rounds)
         key_rounds = rounds.take(key_ids)
-        rounds.sifted_bits[key_ids] = key_rounds.per_round(canonical_sifted_bit, np.int8)
+        rounds.sifted_bits[key_ids] = rounds.layout.sifted_bit.take(key_rounds.row_ids)
         key_round_ids = key_ids.tolist()
         key_bob, key_charlie = _station_keys(key_rounds)
         measured = ~rounds.sampled[probed]
-    eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], rng_eve)
+    eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], seed)
     return Transcript(
         rounds=rounds,
         packets=PacketStream(rounds),

@@ -1,9 +1,16 @@
 """Shared helpers for the statistical test suite."""
 
+import functools
+import importlib.util
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def binom_sigma(p: float, m: int) -> float:
@@ -86,3 +93,23 @@ def _exact_single_path_merits(p: Fraction, d1_weight: Fraction, split: bool):
     p_d2_cell = (1 - p) * Fraction(1, 4) + p_eff * (1 - d1_weight)
     bias = abs(p_d1_cell - p_d2_cell)
     return error_rate, bias
+
+
+def tabulate(rounds) -> Counter:
+    """Count the rounds in each contingency cell (setting_b, setting_c,
+    outcome_alice, click_b, click_c, multi_count), one ``RoundRecord`` at a
+    time: the record-level oracle for the bulk counts and tallies."""
+    return Counter(
+        (r.setting_b, r.setting_c, r.outcome_alice, r.click_b, r.click_c, r.multi_count)
+        for r in rounds
+    )
+
+
+@functools.cache
+def load_workloads():
+    """The benchmark's workload module, for its scan points and checks."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _exact_single_path_merits, assert_matches_law, branch_law, rng_with
+from conftest import (
+    _exact_single_path_merits,
+    assert_matches_law,
+    branch_law,
+    rng_with,
+    tabulate,
+)
 
 from cqca.adversary import (
     alice_double_path,
@@ -29,7 +35,7 @@ from cqca.channel import (
     return_leg,
     transmit_onward,
 )
-from cqca.metrics import expected_multi_rate, tabulate
+from cqca.metrics import expected_multi_rate
 from cqca.parties import _sampling_plan, _select_rows, outcome_law, outcome_table, run_rounds
 from cqca.photonics import (
     Action,
@@ -110,7 +116,9 @@ def test_sampling_plan_is_derived_once_and_read_only():
     attack, channel = AttackConfig.alice_double_path(0.5), LOSSY
     plan = _sampling_plan(attack, channel)
     assert _sampling_plan(AttackConfig.alice_double_path(0.5), LOSSY) is plan
-    for array in (plan.cdf, plan.first_row, plan.p_one, plan.probe):
+    layout = plan.layout
+    for array in (plan.cdf, plan.first_row, plan.p_one, plan.probe, layout.tallies, layout.d1,
+                  layout.bit_b, layout.bit_c, layout.sifted_bit):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
     with pytest.raises(AttributeError):
@@ -137,7 +145,7 @@ def test_row_selection_is_searchsorted_on_each_table(attack, channel):
         expected.append(len(cells) + np.searchsorted(cdf, u, side="right"))
         cells += [(sb, sc, r.outcome, r.click_b, r.click_c, r.multi_count) for r in rows]
         p_one += [np.nan if r.p_one is None else r.p_one for r in rows]
-    assert plan.cells == tuple(cells)
+    assert plan.layout.cells == tuple(cells)
     np.testing.assert_array_equal(plan.p_one, p_one)  # NaN matches NaN
     np.testing.assert_array_equal(plan.probe, ~np.isnan(p_one))
     selected = _select_rows(plan, np.concatenate(codes), np.concatenate(uniforms))

@@ -4,10 +4,12 @@ enumeration oracles, and the abort rule."""
 import dataclasses
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 
-from conftest import binom_sigma
+from conftest import binom_sigma, load_workloads, tabulate
 
 from cqca.analysis import (
     error_from_visibility,
@@ -20,6 +22,7 @@ from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import (
     ERROR_RATE_CEILING,
     TOLERANCE_FLOOR,
+    InsufficientSample,
     MeritReport,
     _honest_baseline,
     abort_decision,
@@ -28,10 +31,13 @@ from cqca.metrics import (
     report_csv_row,
     report_text_block,
     table_merits,
-    tabulate,
 )
-from cqca.parties import RoundRecord, RoundTable, run_rounds
+from cqca.parties import RoundRecord, RoundTable, outcome_table, run_rounds
 from cqca.photonics import Action, Outcome
+
+A, F = Action.A, Action.F
+_workloads = load_workloads()
+POINTS = (*_workloads.SCAN, *_workloads.DEFECT_SCAN)
 
 
 def _record(sb, sc, outcome, click_b=False, click_c=False, multi=False, rid=0):
@@ -41,8 +47,7 @@ def _record(sb, sc, outcome, click_b=False, click_c=False, multi=False, rid=0):
 def _merits(records, n=None) -> dict:
     """Every figure the records' table supports; a figure whose conditional
     cell is empty raised ``InsufficientSample`` and is left out."""
-    table = tabulate(RoundTable.from_records(records))
-    return table_merits(table, table, n or len(records), partial=True)
+    return table_merits(tabulate(records), n or len(records), partial=True)
 
 
 class TestEstimators:
@@ -108,6 +113,127 @@ class TestEstimators:
         nulls = [_record(Action.A, Action.A, Outcome.NULL)] * 55
         clicks = [_record(Action.F, Action.F, Outcome.D2)] * 45
         assert _merits(nulls + clicks, 100)["loss_rate"] == pytest.approx(0.1, abs=1e-12)
+
+
+def _walk(disclosed, stream, n) -> dict:
+    """The figures of merit by one in-order walk over (cell, weight) pairs
+    of the disclosed sample and of the stream: a cell's count of records,
+    or its probability.  Returns the figures it supports, the report's
+    sample counts, the ``InsufficientSample`` messages of the figures it
+    does not support in report order, and the sums the honest baseline
+    reads.  The oracle for the tally product and the expected figures."""
+    total = aa = aa_both = ff1 = ff2 = ff_clicks = d1 = d1_correlated = 0
+    anti = {(A, F): [0, 0, 0], (F, A): [0, 0, 0]}
+    for (sb, sc, outcome, click_b, click_c, _), w in disclosed:
+        total += w
+        if (sb, sc) == (A, A):
+            aa += w
+            if click_b and click_c:
+                aa_both += w
+        elif (sb, sc) == (F, F):
+            if outcome is Outcome.D1:
+                ff1 += w
+            elif outcome is Outcome.D2:
+                ff2 += w
+            if outcome is not Outcome.NULL:
+                ff_clicks += w
+        else:
+            cell = anti[sb, sc]
+            cell[0] += w
+            if outcome is Outcome.D1:
+                cell[1] += w
+            elif outcome is Outcome.D2:
+                cell[2] += w
+        if outcome is Outcome.D1:
+            d1 += w
+            if sb is sc:
+                d1_correlated += w
+    null = multi = 0
+    for (_, _, outcome, _, _, multi_count), w in stream:
+        if outcome is Outcome.NULL:
+            null += w
+        if multi_count:
+            multi += w
+    merits, missing = {}, []
+    if aa:
+        merits["coincidence_rate"] = aa_both / aa
+    else:
+        missing.append("no disclosed (A,A) rounds")
+    if ff1 + ff2:
+        merits["visibility"] = (ff2 - ff1) / (ff1 + ff2)
+    else:
+        missing.append("no disclosed (F,F) rounds with a click")
+    biases = [abs(n1 - n2) / m for m, n1, n2 in anti.values() if m > 0]
+    if biases:
+        merits["bias"] = max(biases)
+    else:
+        missing.append("no disclosed anti-correlated rounds")
+    if d1:
+        merits["error_rate"] = d1_correlated / d1
+    else:
+        missing.append("no disclosed D1 rounds")
+    merits["multi_rate"] = multi / n
+    merits["loss_rate"] = min(1.0, max(0.0, 2.0 * (null / n) - 1.0))
+    counts = {
+        "disclosed": total, "aa": aa, "ff_clicks": ff_clicks,
+        "af": anti[A, F][0], "fa": anti[F, A][0], "d1": d1,
+    }
+    return {"merits": merits, "counts": counts, "missing": missing, "anti": anti, "null": null}
+
+
+class TestTallies:
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: p.label)
+    def test_report_is_the_record_walk(self, point):
+        n = 2_000
+        for seed in range(1, 21):
+            rounds = run_rounds(n, point.attack, point.channel, seed).rounds
+            sample = rounds.take(np.sort(np.random.default_rng(seed).choice(n, n // 4, False)))
+            # integer sums do not depend on the order the records are walked
+            stream, disclosed = tabulate(rounds).items(), tabulate(sample).items()
+            for table, walk in ((sample, _walk(disclosed, stream, n)),
+                                (rounds, _walk(stream, stream, n))):
+                if walk["missing"]:
+                    with pytest.raises(InsufficientSample, match=re.escape(walk["missing"][0])):
+                        compute_merit_report(table, rounds, n)
+                    continue
+                report = compute_merit_report(table, rounds, n)
+                assert dataclasses.asdict(report) == {
+                    "n": n, **walk["merits"], "counts": walk["counts"]
+                }, (point.label, seed)
+
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: p.label)
+    def test_expected_figures_are_the_in_order_walk(self, point):
+        # the lossy points are those where a float matrix product would move
+        # the last bits of the coincidence, error and multi rates
+        table = list(outcome_table(point.attack, point.channel).items())
+        assert theoretical_merits(point.attack, point.channel) == _walk(table, table, 1)["merits"]
+        honest = list(outcome_table(AttackConfig.none(), point.channel).items())
+        walk = _walk(honest, honest, 1)
+        (m_af, n1_af, n2_af), (m_fa, n1_fa, n2_fa) = walk["anti"].values()
+        p1, p2 = (n1_af + n1_fa) / (m_af + m_fa), (n2_af + n2_fa) / (m_af + m_fa)
+        baseline = _honest_baseline(point.channel)
+        assert not walk["missing"]
+        assert dict(baseline.expected) == walk["merits"]
+        assert baseline.bias_variance == p1 + p2 - (p1 - p2) ** 2
+        assert baseline.null_fraction == walk["null"]
+
+    @pytest.mark.parametrize("records,message", [
+        ([_record(F, F, Outcome.D2)], "no disclosed (A,A) rounds"),
+        ([_record(A, A, Outcome.NULL, click_b=True)], "no disclosed (F,F) rounds with a click"),
+        (
+            [_record(A, A, Outcome.NULL, click_c=True), _record(F, F, Outcome.D1)],
+            "no disclosed anti-correlated rounds",
+        ),
+        (
+            [_record(A, A, Outcome.NULL, click_b=True), _record(F, F, Outcome.D2),
+             _record(A, F, Outcome.NULL)],
+            "no disclosed D1 rounds",
+        ),
+    ], ids=["coincidence", "visibility", "bias", "error-rate"])
+    def test_insufficient_sample_names_the_first_empty_figure(self, records, message):
+        table = RoundTable.from_records(records)
+        with pytest.raises(InsufficientSample, match=f"^{re.escape(message)}$"):
+            compute_merit_report(table, table, len(table))
 
 
 class TestChannelRateEstimates:

@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqca import parties
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
+    _ATTACKERS,
+    _BOB,
+    _CHARLIE,
     _CHUNK_IDS,
+    _EVE,
+    _QUANTUM,
+    _SAMPLER,
     BodyType,
     ControlOp,
     MAGIC,
@@ -34,6 +41,7 @@ from cqca.parties import (
     quantum_slot_body,
     round_to_line,
     run_protocol,
+    run_rounds,
     sift_key,
     transcript_chunks,
     transcript_lines,
@@ -334,6 +342,38 @@ class TestProtocolSession:
             run_protocol(100, 0.0)
         with pytest.raises(ValueError):
             run_protocol(100, 1.0)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_each_stream_is_the_spawned_child(self, seed):
+        children = np.random.SeedSequence(seed).spawn(6)
+        for index, child in enumerate(children):
+            state = parties._stream(seed, index).bit_generator.state
+            assert state == np.random.PCG64(child).state, index
+
+    @pytest.mark.parametrize("session,built", [
+        (lambda: run_protocol(2_000, 0.25, seed=3), [_BOB, _CHARLIE, _QUANTUM, _SAMPLER]),
+        (lambda: run_rounds(2_000, seed=3), [_BOB, _CHARLIE, _QUANTUM]),
+        (lambda: run_rounds(2_000, AttackConfig.eve_probe(0.3), seed=3),
+         [_BOB, _CHARLIE, _QUANTUM, _EVE]),
+        (lambda: run_protocol(2_000, 0.25, AttackConfig.eve_probe(0.2), seed=3),
+         [_BOB, _CHARLIE, _QUANTUM, _SAMPLER, _EVE]),
+        # the attack is caught, so Eve's stream is not read
+        (lambda: run_protocol(2_000, 0.25, AttackConfig.alice_double_path(1.0), seed=3),
+         [_BOB, _CHARLIE, _ATTACKERS, _QUANTUM, _SAMPLER]),
+    ], ids=["honest-protocol", "honest-rounds", "eve-rounds", "eve-protocol", "double-protocol"])
+    def test_a_session_builds_only_the_streams_it_reads(self, monkeypatch, session, built):
+        calls = []
+        stream = parties._stream
+
+        def counted(seed, index):
+            calls.append(index)
+            return stream(seed, index)
+
+        monkeypatch.setattr(parties, "_stream", counted)
+        session()
+        assert calls == built
 
 
 class TestRoundSerialization:

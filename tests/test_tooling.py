@@ -1,10 +1,11 @@
 """Guards on what the benchmark harness and the scripts rely on: every
 module imports on its own, every function the per-layer tracer wraps
-still exists under its name, its packet counter reads a session's packet
-log, each timed workload's warm-up session, one abort-scan session of
-every scan point and a protocol session long enough for several
-transcript chunks pass the workload's own check, and the attack sweep
-script runs."""
+still exists under its name, a session calls the merit report and the
+abort decision through the module attributes the tracer wraps, its packet
+counter reads a session's packet log, each timed workload's warm-up
+session, one abort-scan session of every scan point and a protocol
+session long enough for several transcript chunks pass the workload's own
+check, and the attack sweep script runs."""
 
 import importlib
 import importlib.util
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -57,6 +60,28 @@ def test_traced_functions_resolve():
         assert not missing, f"{layer}: {missing}"
 
 
+def test_a_session_calls_report_and_verdict_once_by_module_attribute(monkeypatch):
+    # the tracer charges the merit report and the abort decision to metrics
+    # by wrapping those module attributes, so a session must look them up there
+    from cqca import metrics
+    from cqca.channel import AttackConfig
+    from cqca.parties import run_protocol
+
+    calls = []
+    for name in ("compute_merit_report", "abort_decision"):
+        def counted(*args, _name=name, _function=getattr(metrics, name), **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counted)
+    for attack in (
+        AttackConfig.none(), AttackConfig.eve_probe(0.6), AttackConfig.alice_double_path(1.0)
+    ):
+        calls.clear()
+        run_protocol(2_000, 0.25, attack, seed=2)
+        assert calls == ["compute_merit_report", "abort_decision"], attack.kind
+
+
 def test_packet_counter_reads_the_derived_stream():
     from cqca.parties import run_protocol
 
@@ -70,11 +95,7 @@ def test_packet_counter_reads_the_derived_stream():
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["workloads"] = module  # its dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+    return load_workloads()
 
 
 @pytest.mark.parametrize("name", ["simulate-eve", "protocol-session", "abort-scan"])
