@@ -8,9 +8,10 @@ quantum slots ride in a common packet format with a fixed header, a typed
 body, and a terminator-plus-checksum footer.
 
 Rounds are drawn in bulk from the exact per-round outcome law
-(``outcome_law``): one small table per settings cell, computed once per
-(attack, channel) pair by walking every branch of the amplitude model and
-laid out once as a sampling plan.
+(``outcome_law``), walked once per (attack, channel) pair over every branch
+of the amplitude model and laid out once as one joint CDF over its rows.
+Each round is one 64-bit draw from the session's round stream looked up on
+that CDF, so its settings, source-attack flag and outcome come together.
 A run holds its rounds as columns (``RoundTable``): each round's row of
 that law's ``CellLayout``, its sampled flag and its sifted bit.  Eve's
 guesses are columns too (``adversary.EveGuesses``).  The packet log is
@@ -413,8 +414,7 @@ def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
     return _station_keys(rounds.take(_key_positions(rounds)))
 
 
-#: Settings cells in table order: a round's cell index is 2*[B absorbs] +
-#: [C absorbs].
+#: Settings cells (setting_b, setting_c) in table order.
 _CELLS = (
     (Action.F, Action.F),
     (Action.F, Action.A),
@@ -575,15 +575,16 @@ class _SamplingPlan:
     """What ``_draw_rounds`` reads of one (attack, channel) law, all arrays
     read-only.
 
-    A round's table code is 2*[B absorbs] + [C absorbs] + 4*attacked.
-    ``cdf[code]`` is that table's cumulative row probabilities, normalised
-    and padded with +inf to the widest table; ``first_row[code]`` is its
-    first row in ``layout``.  ``p_one`` is Eve's P(guess 1) by row (NaN
-    where none) and ``probe`` marks the rows that carry her probe.
+    ``cdf`` is a round's joint law as one CDF over the rows of ``layout``,
+    each row weighed as in ``outcome_table``.  Guide bucket b holds the
+    uniforms in [b, b + 1) / 1024: ``first[b]`` counts the CDF entries at or
+    below b / 1024 and ``unsure[b]`` marks one strictly inside.  ``p_one`` is
+    Eve's P(guess 1) by row (NaN where none); ``probe`` marks probed rows.
     """
 
     cdf: np.ndarray
-    first_row: np.ndarray
+    first: np.ndarray
+    unsure: np.ndarray
     layout: CellLayout
     p_one: np.ndarray
     probe: np.ndarray
@@ -591,47 +592,50 @@ class _SamplingPlan:
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _sampling_plan(attack: AttackConfig, channel_cfg: ChannelConfig) -> _SamplingPlan:
-    """The law's tables laid out for ``_select_rows``, once per (attack,
-    channel) pair."""
-    law = outcome_law(attack, channel_cfg)
-    cdf = np.full((len(law), max(map(len, law.values()))), np.inf)
-    first_row = np.empty(len(law), dtype=np.int16)
+    """The law laid out for ``_select_rows``, once per (attack, channel)."""
+    p = attack.p if attack.kind in _SOURCE_ATTACKS else 0.0
     cells: list[Cell] = []
+    weights: list[float] = []
     p_one: list[float] = []
-    for (setting_b, setting_c, attacked), law_rows in law.items():
-        code = _CELLS.index((setting_b, setting_c)) + 4 * attacked
-        cumulative = np.cumsum([r.probability for r in law_rows])
-        cdf[code, : len(law_rows)] = cumulative / cumulative[-1]
-        first_row[code] = len(cells)
+    for (setting_b, setting_c, attacked), law_rows in outcome_law(attack, channel_cfg).items():
+        weight = 0.25 * (p if attacked else 1.0 - p)
         for r in law_rows:
             cells.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
+            weights.append(weight * r.probability)
             p_one.append(np.nan if r.p_one is None else r.p_one)
+    cumulative = np.cumsum(weights)
+    cdf = cumulative / cumulative[-1]
+    edges = np.arange(1025) / 1024
+    first = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int16)
+    unsure = np.searchsorted(cdf, edges[1:], side="left") > first
     p_one_by_row = np.asarray(p_one)
     probe = ~np.isnan(p_one_by_row)
-    for array in (cdf, first_row, p_one_by_row, probe):
+    for array in (cdf, first, unsure, p_one_by_row, probe):
         array.flags.writeable = False
-    return _SamplingPlan(cdf, first_row, CellLayout.of(cells), p_one_by_row, probe)
+    return _SamplingPlan(cdf, first, unsure, CellLayout.of(cells), p_one_by_row, probe)
 
 
-def _select_rows(plan: _SamplingPlan, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each round's row: its table's first row plus the number of that
-    table's CDF entries at or below its uniform ``u``, which is
-    ``np.searchsorted(cdf, u, side="right")``.  Counted one CDF column at a
-    time, so no rounds-by-width array is built."""
-    rows = plan.first_row.take(table)
-    for column in plan.cdf.T:
-        rows += column.take(table) <= u
+def _select_rows(plan: _SamplingPlan, raw: np.ndarray) -> np.ndarray:
+    """Each round's row from its raw 64-bit draw: ``np.searchsorted(plan.cdf,
+    u, side="right")`` for ``u = (raw >> 11) * 2**-53``, the uniform that
+    ``Generator.random`` makes of the same bits.  The top ten bits pick the
+    round's guide bucket, whose ``first`` entry is the row; only rounds in
+    unsure buckets are searched."""
+    bucket = (raw >> 54).view(np.int64)
+    rows = plan.first.take(bucket)
+    unsure = np.flatnonzero(plan.unsure.take(bucket))
+    rows[unsure] = np.searchsorted(plan.cdf, (raw.take(unsure) >> 11) * 2.0**-53, side="right")
     return rows
 
 
 #: A session's random streams by use: stream i is child i of the session
 #: seed's ``SeedSequence``.
-_BOB, _CHARLIE, _ATTACKERS, _QUANTUM, _EVE, _SAMPLER = range(6)
+_ROUNDS, _EVE, _SAMPLER = range(3)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """The session's stream ``index``, built alone: its state is that of
-    ``SeedSequence(seed).spawn(6)[index]``.  A session builds only the
+    ``SeedSequence(seed).spawn(3)[index]``.  A session builds only the
     streams it reads."""
     child = np.random.SeedSequence(seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(child))
@@ -642,19 +646,14 @@ def _draw_rounds(
 ) -> tuple[RoundTable, np.ndarray, np.ndarray]:
     """Draw n rounds in bulk from the outcome law.
 
-    Each station's coin is one uniform per round (F below 1/2), the
-    source-attack flag another, and the row of the round's table an
-    inverse-CDF lookup on one uniform from the quantum stream.  Returns
-    the round table, the ids of the rounds that carry Eve's probe, and her
-    P(guess 1) on each of them.
+    Each round is one raw 64-bit draw from the round stream, looked up on
+    the joint law of its settings, source-attack flag and outcome
+    (``_select_rows``), so its row carries all three.  Returns the round
+    table, the ids of the rounds that carry Eve's probe, and her P(guess 1)
+    on each of them.
     """
     plan = _sampling_plan(attack, channel_cfg)
-    absorb_b = _stream(seed, _BOB).random(n) >= 0.5
-    absorb_c = _stream(seed, _CHARLIE).random(n) >= 0.5
-    table = 2 * absorb_b + absorb_c
-    if attack.kind in _SOURCE_ATTACKS:
-        table += 4 * (_stream(seed, _ATTACKERS).random(n) < attack.p)
-    rows = _select_rows(plan, table, _stream(seed, _QUANTUM).random(n))
+    rows = _select_rows(plan, _stream(seed, _ROUNDS).bit_generator.random_raw(n))
     probed = np.flatnonzero(plan.probe.take(rows))
     unsifted = np.full(n, -1, dtype=np.int8)
     rounds = RoundTable(rows, plan.layout, np.arange(n), np.zeros(n, dtype=bool), unsifted)
@@ -714,7 +713,8 @@ def run_protocol(
     attack.validate()
     channel_cfg.validate()
     rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
-    sampled_ids = np.sort(_stream(seed, _SAMPLER).choice(n, size=int(n * f), replace=False))
+    sampler = _stream(seed, _SAMPLER)
+    sampled_ids = np.sort(sampler.choice(n, int(n * f), replace=False, shuffle=False))
     rounds.sampled[sampled_ids] = True
     report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
     verdict = metrics.abort_decision(report, channel_cfg)

@@ -1,7 +1,7 @@
 """The exact per-round outcome law: normalization, the paper's closed
-forms read off it exactly, the sampling plan's row selection against
-``np.searchsorted`` on each table, and the bulk sampler and the per-round
-primitives checked against it by one goodness-of-fit test."""
+forms read off it exactly, the sampling plan's joint CDF and its row
+selection against ``np.searchsorted``, and the bulk sampler and the
+per-round primitives checked against it by one goodness-of-fit test."""
 
 import itertools
 import math
@@ -15,6 +15,7 @@ from conftest import (
     _exact_single_path_merits,
     assert_matches_law,
     branch_law,
+    load_workloads,
     rng_with,
     tabulate,
 )
@@ -36,7 +37,15 @@ from cqca.channel import (
     transmit_onward,
 )
 from cqca.metrics import expected_multi_rate
-from cqca.parties import _sampling_plan, _select_rows, outcome_law, outcome_table, run_rounds
+from cqca.parties import (
+    _ROUNDS,
+    _sampling_plan,
+    _select_rows,
+    _stream,
+    outcome_law,
+    outcome_table,
+    run_rounds,
+)
 from cqca.photonics import (
     Action,
     Arm,
@@ -117,12 +126,28 @@ def test_sampling_plan_is_derived_once_and_read_only():
     plan = _sampling_plan(attack, channel)
     assert _sampling_plan(AttackConfig.alice_double_path(0.5), LOSSY) is plan
     layout = plan.layout
-    for array in (plan.cdf, plan.first_row, plan.p_one, plan.probe, layout.tallies, layout.d1,
-                  layout.bit_b, layout.bit_c, layout.sifted_bit):
+    for array in (plan.cdf, plan.first, plan.unsure, plan.p_one, plan.probe, layout.tallies,
+                  layout.d1, layout.bit_b, layout.bit_c, layout.sifted_bit):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
     with pytest.raises(AttributeError):
         plan.cdf = plan.cdf.copy()
+    assert plan.first.shape == plan.unsure.shape == (1024,)
+
+
+def _attacked_share(attack) -> float:
+    """The share p of rounds a source attacker takes over; 0 for the rest."""
+    source = attack.kind in (AttackKind.ALICE_SINGLE_PATH, AttackKind.ALICE_DOUBLE_PATH)
+    return attack.p if source else 0.0
+
+
+def _raws_at(values, rng) -> np.ndarray:
+    """Raw draws whose uniform ``(raw >> 11) * 2**-53`` is the 53-bit grid
+    point at or below each value in [0, 1), and the one above it, under
+    random low bits."""
+    grid = np.floor(np.asarray(values) * 2.0**53).astype(np.uint64)
+    grid = np.concatenate([grid, np.minimum(grid + 1, 2**53 - 1)])
+    return grid << 11 | rng.integers(0, 2**11, len(grid), dtype=np.uint64)
 
 
 @pytest.mark.parametrize(
@@ -133,23 +158,90 @@ def test_row_selection_is_searchsorted_on_each_table(attack, channel):
     law = outcome_law(attack, channel)
     plan = _sampling_plan(attack, channel)
     rng = rng_with(308)
-    codes, uniforms, expected = [], [], []
-    cells, p_one = [], []
+    p = _attacked_share(attack)
+    weights, cells, p_one = [], [], []
     for (sb, sc, attacked), rows in law.items():
-        cdf = np.cumsum([r.probability for r in rows])
-        cdf /= cdf[-1]
-        crafted = np.array([0.0, *cdf[cdf < 1.0], np.nextafter(1.0, 0.0)])
-        u = np.concatenate([crafted, rng.random(500)])
-        codes.append(np.full(len(u), 2 * (sb is A) + (sc is A) + 4 * attacked))
-        uniforms.append(u)
-        expected.append(len(cells) + np.searchsorted(cdf, u, side="right"))
+        weights += [0.25 * (p if attacked else 1.0 - p) * r.probability for r in rows]
         cells += [(sb, sc, r.outcome, r.click_b, r.click_c, r.multi_count) for r in rows]
         p_one += [np.nan if r.p_one is None else r.p_one for r in rows]
     assert plan.layout.cells == tuple(cells)
     np.testing.assert_array_equal(plan.p_one, p_one)  # NaN matches NaN
     np.testing.assert_array_equal(plan.probe, ~np.isnan(p_one))
-    selected = _select_rows(plan, np.concatenate(codes), np.concatenate(uniforms))
-    np.testing.assert_array_equal(selected, np.concatenate(expected))
+    cdf = np.cumsum(weights) / math.fsum(weights)
+    np.testing.assert_allclose(plan.cdf, cdf, rtol=0.0, atol=1e-15)
+    assert plan.cdf[-1] == 1.0 and np.all(np.diff(plan.cdf) >= 0.0)
+
+    inside = plan.cdf[plan.cdf < 1.0]
+    crafted = [
+        inside,
+        np.nextafter(inside, 0.0),
+        np.nextafter(inside, 1.0),
+        np.arange(1024) / 1024,  # every bucket edge, 0 among them
+        [np.nextafter(1.0, 0.0)],
+    ]
+    random = rng.integers(0, 2**64, 500, dtype=np.uint64)
+    raws = np.concatenate([_raws_at(np.concatenate(crafted), rng), random])
+    u = (raws >> 11) * 2.0**-53
+    assert np.all((0.0 <= u) & (u < 1.0))
+    np.testing.assert_array_equal(
+        _select_rows(plan, raws), np.searchsorted(plan.cdf, u, side="right")
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_raw_draw_is_the_generators_uniform(seed):
+    # the row lookup's uniform is bit for bit the one Generator.random makes
+    raw = _stream(seed, _ROUNDS).bit_generator.random_raw(100_000)
+    np.testing.assert_array_equal((raw >> 11) * 2.0**-53, _stream(seed, _ROUNDS).random(100_000))
+
+
+_POINTS = (*load_workloads().SCAN, *load_workloads().DEFECT_SCAN)
+
+
+@pytest.mark.parametrize("point", _POINTS, ids=lambda p: p.label)
+def test_plan_weights_fold_to_the_outcome_table(point):
+    plan = _sampling_plan(point.attack, point.channel)
+    folded: dict = {}
+    for cell, weight in zip(plan.layout.cells, np.diff(plan.cdf, prepend=0.0).tolist()):
+        folded[cell] = folded.get(cell, 0.0) + weight
+    table = outcome_table(point.attack, point.channel)
+    assert folded.keys() == table.keys()
+    for cell, p in table.items():
+        assert folded[cell] == pytest.approx(p, abs=1e-15), cell
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [*ATTACKS, AttackConfig.alice_single_path(0.1), AttackConfig.alice_double_path(1.0)],
+    ids=lambda a: f"{a.kind.value}-{a.strategy.value}-{a.target.value}-{a.p}",
+)
+@pytest.mark.parametrize("channel", [ChannelConfig(), LOSSY], ids=["lossless", "lossy"])
+def test_plan_weighs_each_settings_cell_a_quarter(attack, channel):
+    plan = _sampling_plan(attack, channel)
+    weights = np.diff(plan.cdf, prepend=0.0)
+    attacked_mass, cell_mass, start = 0.0, Counter(), 0
+    for (sb, sc, attacked), rows in outcome_law(attack, channel).items():
+        mass = math.fsum(weights[start : start + len(rows)])
+        start += len(rows)
+        cell_mass[(sb, sc)] += mass
+        attacked_mass += mass if attacked else 0.0
+    assert start == len(plan.cdf)
+    for cell in itertools.product((F, A), repeat=2):
+        assert cell_mass[cell] == pytest.approx(0.25, abs=1e-15), cell
+    assert attacked_mass == pytest.approx(_attacked_share(attack), abs=1e-15)
+
+
+def test_fully_attacked_source_never_draws_an_untouched_row():
+    attack = AttackConfig.alice_double_path(1.0)
+    for channel in (ChannelConfig(), LOSSY):
+        law = outcome_law(attack, channel)
+        untouched = sum(len(rows) for (_, _, attacked), rows in law.items() if not attacked)
+        plan = _sampling_plan(attack, channel)
+        assert np.all(plan.cdf[:untouched] == 0.0)
+        edges = _raws_at(np.arange(1024) / 1024, rng_with(309))
+        assert _select_rows(plan, edges).min() == untouched
+        rows = run_rounds(20_000, attack, channel, seed=310).rounds.row_ids
+        assert rows.min() >= untouched
 
 
 def test_honest_law_is_the_outcome_table():
@@ -229,18 +321,20 @@ def test_null_probe_row_guesses_a_fair_coin():
 
 
 def test_settings_follow_the_station_coins():
-    seed, n = 17, 500
-    result = run_rounds(n, AttackConfig.alice_single_path(0.5), seed=seed)
-    rng_bob, rng_charlie = [
-        np.random.Generator(np.random.PCG64(child))
-        for child in np.random.SeedSequence(seed).spawn(6)[:2]
-    ]
-    # the bulk draw gives the settings one coin per round would
-    def coins(rng):
-        return [F if rng.random() < 0.5 else A for _ in range(n)]
-
-    assert [r.setting_b for r in result.rounds] == coins(rng_bob)
-    assert [r.setting_c for r in result.rounds] == coins(rng_charlie)
+    # Bob's and Charlie's settings behave as two independent fair coins:
+    # the 2x2 settings table fits the product law, and Pearson's
+    # independence statistic on its own margins (1 dof) stays small
+    n = 40_000
+    rounds = run_rounds(n, AttackConfig.alice_single_path(0.5), seed=17).rounds
+    counts = np.bincount(rounds.row_ids, minlength=len(rounds.cells))
+    table = Counter()
+    for cell, count in zip(rounds.cells, counts.tolist()):
+        table[cell[:2]] += count
+    quarter = {cell: 0.25 for cell in itertools.product((F, A), repeat=2)}
+    assert_matches_law(table, quarter, n, "settings")
+    (ff, fa), (af, aa) = [[table[(sb, sc)] for sc in (F, A)] for sb in (F, A)]
+    statistic = n * (ff * aa - fa * af) ** 2 / ((ff + fa) * (af + aa) * (ff + af) * (fa + aa))
+    assert math.erfc(math.sqrt(statistic / 2)) > 1e-4, statistic
 
 
 SAMPLED = [

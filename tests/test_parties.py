@@ -14,12 +14,9 @@ from cqca import parties
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
-    _ATTACKERS,
-    _BOB,
-    _CHARLIE,
     _CHUNK_IDS,
     _EVE,
-    _QUANTUM,
+    _ROUNDS,
     _SAMPLER,
     BodyType,
     ControlOp,
@@ -347,21 +344,21 @@ class TestProtocolSession:
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
     def test_each_stream_is_the_spawned_child(self, seed):
-        children = np.random.SeedSequence(seed).spawn(6)
+        children = np.random.SeedSequence(seed).spawn(3)
+        assert (_ROUNDS, _EVE, _SAMPLER) == (0, 1, 2)
         for index, child in enumerate(children):
             state = parties._stream(seed, index).bit_generator.state
             assert state == np.random.PCG64(child).state, index
 
     @pytest.mark.parametrize("session,built", [
-        (lambda: run_protocol(2_000, 0.25, seed=3), [_BOB, _CHARLIE, _QUANTUM, _SAMPLER]),
-        (lambda: run_rounds(2_000, seed=3), [_BOB, _CHARLIE, _QUANTUM]),
-        (lambda: run_rounds(2_000, AttackConfig.eve_probe(0.3), seed=3),
-         [_BOB, _CHARLIE, _QUANTUM, _EVE]),
+        (lambda: run_protocol(2_000, 0.25, seed=3), [_ROUNDS, _SAMPLER]),
+        (lambda: run_rounds(2_000, seed=3), [_ROUNDS]),
+        (lambda: run_rounds(2_000, AttackConfig.eve_probe(0.3), seed=3), [_ROUNDS, _EVE]),
         (lambda: run_protocol(2_000, 0.25, AttackConfig.eve_probe(0.2), seed=3),
-         [_BOB, _CHARLIE, _QUANTUM, _SAMPLER, _EVE]),
+         [_ROUNDS, _SAMPLER, _EVE]),
         # the attack is caught, so Eve's stream is not read
         (lambda: run_protocol(2_000, 0.25, AttackConfig.alice_double_path(1.0), seed=3),
-         [_BOB, _CHARLIE, _ATTACKERS, _QUANTUM, _SAMPLER]),
+         [_ROUNDS, _SAMPLER]),
     ], ids=["honest-protocol", "honest-rounds", "eve-rounds", "eve-protocol", "double-protocol"])
     def test_a_session_builds_only_the_streams_it_reads(self, monkeypatch, session, built):
         calls = []
@@ -374,6 +371,23 @@ class TestStreams:
         monkeypatch.setattr(parties, "_stream", counted)
         session()
         assert calls == built
+
+    def test_rounds_are_the_round_stream_looked_up_on_the_joint_law(self):
+        # every row is the inverse-CDF lookup of the round stream's own
+        # uniforms on the joint law, one draw per round
+        attack, seed, n = AttackConfig.alice_double_path(0.5), 9, 5_000
+        channel = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+        plan = parties._sampling_plan(attack, channel)
+        u = parties._stream(seed, _ROUNDS).random(n)
+        rows = run_rounds(n, attack, channel, seed=seed).rounds.row_ids
+        np.testing.assert_array_equal(rows, np.searchsorted(plan.cdf, u, side="right"))
+
+    def test_disclosed_sample_is_the_sampler_streams_choice(self):
+        n, f, seed = 3_000, 0.25, 4
+        expected = np.random.SeedSequence(seed).spawn(3)[_SAMPLER]
+        ids = np.random.Generator(np.random.PCG64(expected)).choice(n, int(n * f), replace=False)
+        sampled = run_protocol(n, f, seed=seed).rounds.sampled
+        np.testing.assert_array_equal(np.flatnonzero(sampled), np.sort(ids))
 
 
 class TestRoundSerialization:
