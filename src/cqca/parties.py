@@ -773,47 +773,54 @@ def line_to_round(line: str) -> RoundRecord:
 #: working memory.
 _CHUNK_IDS = 1 << 14
 
+_QUADS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+#: ``_DIGITS[g][v]`` is v < 10**g as g zero-padded decimal digits (``S{g}``).
+_DIGITS = {g: _QUADS[: 10**g, 4 - g :].copy().view(f"S{g}").ravel() for g in range(1, 5)}
+
+
+def _fill(rows: np.ndarray, column: int, table: np.ndarray, keys: np.ndarray) -> None:
+    """Write ``table[keys]`` into ``rows`` from ``column`` on, one record a row."""
+    rows[:, column : column + table.itemsize].view(table.dtype)[:, 0] = table.take(keys)
+
 
 def _decimal_chunks(
     ids: np.ndarray, tails: Sequence[bytes], kinds: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Each id in decimal followed by ``tails[kind]``, as uint8 chunks of
-    at most ``_CHUNK_IDS`` ids.
+    """Each id in decimal followed by ``tails[kind]``, as contiguous uint8
+    arrays of one line a row, from chunks of at most ``_CHUNK_IDS`` ids.
 
-    A chunk is a grid with one row per id: the id's digits, found by
-    repeated division by 10 and right-aligned at the width of the largest
-    id, then its tail from a padded tail table.  One mask, looked up by
-    the id's digit count and its kind, keeps each row's significant digits
-    and its tail's own bytes; the kept bytes in row order are the chunk.
+    A chunk splits into runs of lines of one shape: digit count and tail
+    length.  A run is one take from a table of the tails behind placeholder
+    digits, and its digits go in four at a time from ``_DIGITS``.  Ascending
+    ids make one run per digit count; other orders, one per change of shape.
     """
     if len(ids) == 0:
         return
     if ids.min() < 0:
         raise ValueError("ids must be non-negative")
-    digits = len(str(int(ids.max())))
-    powers = 10 ** np.arange(1, digits, dtype=np.int64)
     lengths = np.array([len(tail) for tail in tails])
-    width = digits + int(lengths.max())
-    template = np.zeros((len(tails), width), dtype=np.uint8)
-    for k, tail in enumerate(tails):
-        template[k, digits : digits + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-    # Row c * len(tails) + k keeps the last c + 1 digits and tails[k].
-    columns = np.arange(width)
-    kept_digits = (columns < digits) & (columns >= digits - np.arange(1, digits + 1)[:, None])
-    kept_tail = (columns >= digits) & (columns < digits + lengths[:, None])
-    kept_table = (kept_digits[:, None] | kept_tail[None, :]).reshape(-1, width)
+    span = int(lengths.max()) + 1
+    powers = 10 ** np.arange(1, len(str(int(ids.max()))), dtype=np.int64)
+    line_tables: dict[tuple[int, int], np.ndarray] = {}
     for start in range(0, len(ids), _CHUNK_IDS):
         chunk = ids[start : start + _CHUNK_IDS]
         kind = kinds[start : start + _CHUNK_IDS]
-        digit_rows = np.empty((digits, len(chunk)), dtype=np.uint8)
-        rest = chunk
-        for row in range(digits - 1, -1, -1):
-            rest, digit_rows[row] = np.divmod(rest, 10)
-        digit_rows += ord("0")
-        grid = np.take(template, kind, axis=0)
-        grid[:, :digits] = digit_rows.T
-        extra_digits = np.searchsorted(powers, chunk, side="right")
-        yield grid[np.take(kept_table, extra_digits * len(tails) + kind, axis=0)]
+        # A line's shape is (its digit count - 1) * span + its tail length.
+        shapes = np.searchsorted(powers, chunk, side="right") * span + lengths.take(kind)
+        edges = [0, *(np.flatnonzero(shapes[1:] != shapes[:-1]) + 1).tolist(), len(chunk)]
+        for lo, hi in zip(edges, edges[1:]):
+            digits, tail = divmod(int(shapes[lo]) + span, span)
+            if (digits, tail) not in line_tables:
+                records = b"".join(bytes(digits) + t[:tail].ljust(tail, b"\0") for t in tails)
+                line_tables[digits, tail] = np.frombuffer(records, dtype=f"V{digits + tail}")
+            rows = line_tables[digits, tail].take(kind[lo:hi]).view(np.uint8).reshape(hi - lo, -1)
+            rest = chunk[lo:hi]
+            for column in range(digits - 4, 0, -4):
+                high = rest // 10**4
+                _fill(rows, column, _DIGITS[4], rest - high * 10**4)
+                rest = high
+            _fill(rows, 0, _DIGITS[(digits - 1) % 4 + 1], rest)
+            yield rows
 
 
 def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
@@ -847,4 +854,4 @@ def joined_decimal(ids: Sequence[int], separator: bytes) -> Iterator[np.ndarray]
 
 def key_to_hex(bits: list[int]) -> str:
     """Bits packed most-significant first, zero-padded to whole octets."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
+    return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()

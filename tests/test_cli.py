@@ -276,6 +276,23 @@ class TestRobustness:
         assert code in (0, 2)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", str(10**15)),
+            ("protocol", "--n", str(10**15)),
+            ("analyze", "--grid-points", str(10**15)),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unallocatable_size_exits_one(self, capsys, tmp_path, argv):
+        # numpy refuses a 10**15-element array at once, allocating nothing
+        target = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 1
+        assert "error: out of memory: " in err
+        assert "Traceback" not in err and out == "" and not target.exists()
+
+    @pytest.mark.parametrize(
         "argv", [("simulate", "--n", "5"), ("protocol", "--n", "20", "--f", "0.1")]
     )
     def test_undersized_sample_aborts(self, capsys, tmp_path, argv):
@@ -329,7 +346,7 @@ def _run_argv(draw):
     seed = draw(st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**200])))
     argv = [
         command,
-        "--n", str(draw(st.integers(1, 2000))),
+        "--n", str(draw(st.one_of(st.integers(1, 2000), st.just(10**15)))),
         "--seed", str(seed),
         "--attack", draw(st.sampled_from([k.value for k in AttackKind])),
         "--theta", repr(draw(_rate(math.pi / 2))),

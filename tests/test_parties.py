@@ -4,6 +4,7 @@ announcement stream, and transcript determinism."""
 import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
     _CHUNK_IDS,
+    _decimal_chunks,
     _EVE,
     _ROUNDS,
     _SAMPLER,
@@ -205,6 +207,11 @@ class TestKeyHex:
         assert key_to_hex([1, 0, 1, 0, 1, 0, 1, 0]) == "aa"
         assert key_to_hex([1]) == "80"
         assert key_to_hex([]) == ""
+
+    def test_session_keys_pack_like_the_array_cast(self, honest):
+        for key in (honest.key_bob, honest.key_charlie):
+            assert len(key) > 1000
+            assert key_to_hex(key) == np.packbits(np.asarray(key, dtype=np.uint8)).tobytes().hex()
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +516,36 @@ class TestTranscriptBytes:
     def test_key_round_ids_join_with_commas(self, ids):
         joined = b"".join(bytes(chunk) for chunk in joined_decimal(ids, b","))
         assert joined == ",".join(map(str, ids)).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(
+                st.integers(0, 10**5),
+                st.integers(0, 2**63 - 1),
+                st.sampled_from([9, 10, 9_999, 10**4, 10**18 - 1, 10**18, 2**63 - 1]),
+            ),
+            max_size=40,
+        ),
+        order=st.sampled_from(["ascending", "descending", "shuffled"]),
+        tails=st.lists(st.binary(max_size=6), min_size=1, max_size=4),
+        chunk_ids=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_formatter_equals_python_decimal(self, ids, order, tails, chunk_ids, data):
+        if order == "shuffled":
+            ids = data.draw(st.permutations(ids))
+        else:
+            ids = sorted(ids, reverse=order == "descending")
+        kind = st.integers(0, len(tails) - 1)
+        kinds = data.draw(st.lists(kind, min_size=len(ids), max_size=len(ids)))
+        with mock.patch.object(parties, "_CHUNK_IDS", chunk_ids):
+            chunks = list(_decimal_chunks(np.array(ids, dtype=np.int64), tails, np.array(kinds)))
+            joined = b"".join(bytes(chunk) for chunk in joined_decimal(ids, tails[0]))
+        assert all(chunk.flags.c_contiguous and len(chunk) <= chunk_ids for chunk in chunks)
+        lines = b"".join(str(i).encode() + tails[k] for i, k in zip(ids, kinds))
+        assert b"".join(bytes(chunk) for chunk in chunks) == lines
+        assert joined == tails[0].join(str(i).encode() for i in ids)
 
 
 def _eager_replay(transcript):
