@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import AttackConfig, ChannelConfig
+from .law import outcome_table
 
 _EIG_TOL = 1e-12
 #: Width of the bracket at which ``security_threshold`` stops bisecting.
@@ -128,7 +129,7 @@ def key_rate(theta: float) -> SecurityPoint:
     e = error_rate_theory(theta)
     cos2t = math.cos(2.0 * theta)
     e1 = (1.0 - cos2t) / 4.0
-    chi = binary_entropy(e1)
+    chi = holevo_bound(theta)
     i_bc = 1.0 - binary_entropy(e)
     return SecurityPoint(
         theta=theta,
@@ -191,9 +192,9 @@ def theoretical_merits(attack: AttackConfig, channel_cfg: ChannelConfig) -> dict
     estimators run on the run's exact outcome law.  A figure with no
     probability in its conditional cell, such as the error rate when no D1
     is ever announced, is left out."""
-    from . import metrics, parties  # metrics imports this module
+    from . import metrics  # metrics reads security_threshold() at import
 
-    return metrics.table_merits(parties.outcome_table(attack, channel_cfg), partial=True)
+    return metrics.table_merits(outcome_table(attack, channel_cfg), partial=True)
 
 
 def _check_angle(theta: float) -> None:

@@ -16,11 +16,6 @@ from enum import Enum
 
 from .photonics import JointState, attach_eve_probe
 
-#: Distinct (attack, channel) pairs whose outcome law and everything derived
-#: from it (the outcome table, the sampling plan, the honest abort
-#: baseline) stay cached.
-_LAW_CACHE_SIZE = 32
-
 
 @dataclass(frozen=True, slots=True)
 class ChannelConfig:

@@ -10,7 +10,7 @@ estimate is arithmetic on a few integer tallies (``TALLIES``), each a sum
 over contingency cells (settings, outcome, station clicks and the
 multiple-count flag).  A sample's tallies are one product of its cell
 layout's tally matrix with its count per cell; summed over the exact
-outcome law as probabilities (``parties.outcome_table``, n = 1), the same
+outcome law as probabilities (``law.outcome_table``, n = 1), the same
 tallies give the expected values.
 
 The abort rule has fixed tolerances.  It gates the cheating signatures
@@ -32,11 +32,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .analysis import error_from_visibility, security_threshold
-from .channel import _LAW_CACHE_SIZE, AttackConfig, ChannelConfig
+from .channel import AttackConfig, ChannelConfig
+from .law import _LAW_CACHE_SIZE, Cell, outcome_table
 from .photonics import Action, Outcome
 
 if TYPE_CHECKING:
-    from .parties import Cell, RoundTable  # parties imports this module
+    from .parties import RoundTable  # parties imports this module
 
 #: Raw-key error rate e* at which the key rate crosses zero; the abort rule
 #: enforces this ceiling on the measured error rate and on the error rate
@@ -165,7 +166,7 @@ def table_merits(
 ) -> dict[str, float]:
     """Every figure of merit of a table of counts or probabilities per
     cell, itself the full stream of n rounds; on the exact outcome law
-    (``parties.outcome_table``, n = 1) they are expected values."""
+    (``law.outcome_table``, n = 1) they are expected values."""
     return _figures(_table_tallies(table), n, partial)
 
 
@@ -237,8 +238,6 @@ class _HonestBaseline:
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _honest_baseline(channel_cfg: ChannelConfig) -> _HonestBaseline:
-    from .parties import outcome_table  # parties imports this module
-
     t = _table_tallies(outcome_table(AttackConfig.none(), channel_cfg))
     # A cell's D1 and D2 counts are multinomial: Var((n1 - n2)/m) is
     # (p1 + p2 - (p1 - p2)^2)/m.  The honest law treats both cells alike.

@@ -8,10 +8,10 @@ quantum slots ride in a common packet format with a fixed header, a typed
 body, and a terminator-plus-checksum footer.
 
 Rounds are drawn in bulk from the exact per-round outcome law
-(``outcome_law``), walked once per (attack, channel) pair over every branch
-of the amplitude model and laid out once as one joint CDF over its rows.
-Each round is one 64-bit draw from the session's round stream looked up on
-that CDF, so its settings, source-attack flag and outcome come together.
+(``law.outcome_law``), laid out once per (attack, channel) pair as one
+joint CDF over its rows.  Each round is one 64-bit draw from the session's
+round stream looked up on that CDF, so its settings, source-attack flag
+and outcome come together.
 A run holds its rounds as columns (``RoundTable``): each round's row of
 that law's ``CellLayout``, its sampled flag and its sifted bit.  Eve's
 guesses are columns too (``adversary.EveGuesses``).  The packet log is
@@ -30,35 +30,15 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import metrics
-from .adversary import EveGuesses, honest_outcome_branches, single_path_branches
-from .channel import (
-    _LAW_CACHE_SIZE,
-    AttackConfig,
-    AttackKind,
-    AttackTarget,
-    ChannelConfig,
-    return_leg,
-    transmit_onward,
-)
-from .photonics import (
-    Action,
-    Arm,
-    Branches,
-    EveProbePair,
-    Outcome,
-    dark_click_branches,
-    detection_branches,
-    emit,
-    helstrom_p_one,
-    party_action_branches,
-    recombine_at_bs,
-)
+from .adversary import EveGuesses
+from .channel import AttackConfig, ChannelConfig
+from .law import _LAW_CACHE_SIZE, Cell, _weighted_rows
+from .photonics import Action, Outcome
 
 MAGIC = b"\xc1\xca"
 VERSION = 1
@@ -203,11 +183,6 @@ class RoundRecord:
     multi_count: bool
     sampled: bool = False
     sifted_bit: int | None = None
-
-
-#: A round's contingency cell: (setting_b, setting_c, outcome_alice,
-#: click_b, click_c, multi_count).
-Cell = tuple[Action, Action, Outcome, bool, bool, bool]
 
 
 def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
@@ -414,169 +389,13 @@ def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
     return _station_keys(rounds.take(_key_positions(rounds)))
 
 
-#: Settings cells (setting_b, setting_c) in table order.
-_CELLS = (
-    (Action.F, Action.F),
-    (Action.F, Action.A),
-    (Action.A, Action.F),
-    (Action.A, Action.A),
-)
-_SOURCE_ATTACKS = (AttackKind.ALICE_SINGLE_PATH, AttackKind.ALICE_DOUBLE_PATH)
-_TARGET_BRANCHES = {
-    AttackTarget.B: [(1.0, Arm.B)],
-    AttackTarget.C: [(1.0, Arm.C)],
-    AttackTarget.RANDOM: [(0.5, Arm.B), (0.5, Arm.C)],
-}
-
-
-@dataclass(frozen=True, slots=True)
-class LawRow:
-    """One outcome of a round in a given table of the law.  ``p_one`` is
-    the probability that Eve's Helstrom measurement guesses bit 1 on a D1
-    row whose round carries her probe, None on every other row."""
-
-    probability: float
-    outcome: Outcome
-    click_b: bool
-    click_c: bool
-    multi_count: bool
-    p_one: float | None
-
-
-#: (setting_b, setting_c, attacked) -> the rows of that table, every one
-#: with positive probability.  ``attacked`` marks the rounds a source
-#: attacker took over; only source attacks have attacked tables.
-OutcomeLaw = Mapping[tuple[Action, Action, bool], tuple[LawRow, ...]]
-
-
-def _probe_p_one(theta: float, amp_d1: tuple[complex, ...]) -> float:
-    probe = EveProbePair(theta=theta, collapsed_state=amp_d1)
-    # A dark D1 click on a double reflection whose port D1 amplitude
-    # vanishes (a zero-strength probe) leaves no probe amplitude: the probe
-    # then carries no which-arm information and Eve's guess is a fair coin.
-    # Such rounds have correlated settings, so they carry no key bit.
-    return 0.5 if probe.is_null() else helstrom_p_one(probe)
-
-
-#: (probability, announced outcome, source clicks, click_b, click_c, p_one)
-#: of one branch of a round, before the stations' dark counts.
-_Branch = tuple[float, Outcome, int, bool, bool, float | None]
-
-
-def _photon_branches(
-    setting_b: Action, setting_c: Action, attack: AttackConfig, channel_cfg: ChannelConfig
-) -> Iterator[_Branch]:
-    """Branches of a round whose split photon runs the interferometer."""
-    state = transmit_onward(emit(), channel_cfg, attack)
-    for p_b, (state_b, absorbed_b) in party_action_branches(state, Arm.B, setting_b):
-        for p_c, (state_c, absorbed_c) in party_action_branches(state_b, Arm.C, setting_c):
-            returned = return_leg(state_c)
-            absorbed = absorbed_b or absorbed_c
-            if absorbed:
-                zeros = (0j,) * returned.probe_dim
-                amp_d1, amp_d2 = zeros, zeros
-            else:
-                amp_d1, amp_d2 = recombine_at_bs(returned)
-            for p_d, detection in detection_branches(
-                amp_d1, amp_d2, channel_cfg.loss_rate, channel_cfg.dark_rate
-            ):
-                p_one = None
-                if detection.outcome is Outcome.D1 and returned.probe_dim > 1 and not absorbed:
-                    p_one = _probe_p_one(attack.theta, amp_d1)
-                yield (
-                    p_b * p_c * p_d,
-                    detection.outcome,
-                    detection.click_count,
-                    absorbed_b,
-                    absorbed_c,
-                    p_one,
-                )
-
-
-def _source_attack_branches(
-    setting_b: Action, setting_c: Action, attack: AttackConfig
-) -> Iterator[_Branch]:
-    """Branches of a round a source attacker took over.  Her bare
-    photons and fabricated announcement bypass the channel loss and the
-    source's dark counts; at most one announced click is hers."""
-    if attack.kind is AttackKind.ALICE_DOUBLE_PATH:
-        for p, outcome in honest_outcome_branches(setting_b, setting_c):
-            clicks = int(outcome is not Outcome.NULL)
-            yield p, outcome, clicks, setting_b is Action.A, setting_c is Action.A, None
-        return
-    for p_t, target in _TARGET_BRANCHES[attack.target]:
-        returned = (setting_b if target is Arm.B else setting_c) is Action.F
-        for p_a, outcome in single_path_branches(attack.strategy, returned):
-            clicks = int(outcome is not Outcome.NULL)
-            click_b = target is Arm.B and not returned
-            click_c = target is Arm.C and not returned
-            yield p_t * p_a, outcome, clicks, click_b, click_c, None
-
-
-def _station_branches(setting: Action, clicked: bool, dark_rate: float) -> Branches[bool]:
-    """An absorbing station's detector dark-fires when it holds no click."""
-    if setting is Action.A and not clicked:
-        return dark_click_branches(dark_rate)
-    return [(1.0, clicked)]
-
-
-@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
-def outcome_law(attack: AttackConfig, channel_cfg: ChannelConfig) -> OutcomeLaw:
-    """The exact per-round outcome law, walked without random draws.
-
-    Each table follows every branch of one round in a settings cell: the
-    source attacker taking the round over or not, absorption at each
-    station, a real click or a loss, dark counts at each source detector
-    with the two-click tie, and dark counts at each absorbing station.
-    Branches that end in the same announced outcome, station clicks,
-    multiple-count flag and probe guess probability add up into one row.
-    Each (attack, channel) pair is walked once and its law kept read-only.
-    """
-    law = {}
-    dark = channel_cfg.dark_rate
-    attacked_options = (False, True) if attack.kind in _SOURCE_ATTACKS else (False,)
-    for attacked in attacked_options:
-        for setting_b, setting_c in _CELLS:
-            if attacked:
-                branches = _source_attack_branches(setting_b, setting_c, attack)
-            else:
-                branches = _photon_branches(setting_b, setting_c, attack, channel_cfg)
-            rows: dict[tuple, float] = {}
-            for p, outcome, source_clicks, click_b, click_c, p_one in branches:
-                for p_b, final_b in _station_branches(setting_b, click_b, dark):
-                    for p_c, final_c in _station_branches(setting_c, click_c, dark):
-                        multi = source_clicks + final_b + final_c >= 2
-                        key = (outcome, final_b, final_c, multi, p_one)
-                        rows[key] = rows.get(key, 0.0) + p * p_b * p_c
-            law[(setting_b, setting_c, attacked)] = tuple(
-                LawRow(prob, *key) for key, prob in rows.items() if prob > 0.0
-            )
-    return MappingProxyType(law)
-
-
-@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
-def outcome_table(attack: AttackConfig, channel_cfg: ChannelConfig) -> Mapping[Cell, float]:
-    """The outcome law as one probability per contingency cell, keyed like
-    ``metrics.tabulate``: every settings cell weighs 1/4, and a source
-    attacker's tables weigh p against 1 - p for the untouched rounds.
-    Read-only, and computed once per (attack, channel) pair."""
-    p = attack.p if attack.kind in _SOURCE_ATTACKS else 0.0
-    table: dict[Cell, float] = {}
-    for (setting_b, setting_c, attacked), rows in outcome_law(attack, channel_cfg).items():
-        weight = 0.25 * (p if attacked else 1.0 - p)
-        for r in rows:
-            cell = (setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count)
-            table[cell] = table.get(cell, 0.0) + weight * r.probability
-    return MappingProxyType(table)
-
-
 @dataclass(frozen=True, slots=True)
 class _SamplingPlan:
     """What ``_draw_rounds`` reads of one (attack, channel) law, all arrays
     read-only.
 
     ``cdf`` is a round's joint law as one CDF over the rows of ``layout``,
-    each row weighed as in ``outcome_table``.  Guide bucket b holds the
+    each row weighed as in ``law._weighted_rows``.  Guide bucket b holds the
     uniforms in [b, b + 1) / 1024: ``first[b]`` counts the CDF entries at or
     below b / 1024 and ``unsure[b]`` marks one strictly inside.  ``p_one`` is
     Eve's P(guess 1) by row (NaN where none); ``probe`` marks probed rows.
@@ -593,22 +412,13 @@ class _SamplingPlan:
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
 def _sampling_plan(attack: AttackConfig, channel_cfg: ChannelConfig) -> _SamplingPlan:
     """The law laid out for ``_select_rows``, once per (attack, channel)."""
-    p = attack.p if attack.kind in _SOURCE_ATTACKS else 0.0
-    cells: list[Cell] = []
-    weights: list[float] = []
-    p_one: list[float] = []
-    for (setting_b, setting_c, attacked), law_rows in outcome_law(attack, channel_cfg).items():
-        weight = 0.25 * (p if attacked else 1.0 - p)
-        for r in law_rows:
-            cells.append((setting_b, setting_c, r.outcome, r.click_b, r.click_c, r.multi_count))
-            weights.append(weight * r.probability)
-            p_one.append(np.nan if r.p_one is None else r.p_one)
+    cells, weights, p_one = zip(*_weighted_rows(attack, channel_cfg))
     cumulative = np.cumsum(weights)
     cdf = cumulative / cumulative[-1]
     edges = np.arange(1025) / 1024
     first = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int16)
     unsure = np.searchsorted(cdf, edges[1:], side="left") > first
-    p_one_by_row = np.asarray(p_one)
+    p_one_by_row = np.array(p_one, dtype=float)  # None becomes NaN
     probe = ~np.isnan(p_one_by_row)
     for array in (cdf, first, unsure, p_one_by_row, probe):
         array.flags.writeable = False

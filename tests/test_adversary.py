@@ -19,8 +19,9 @@ from cqca.adversary import (
 )
 from cqca.analysis import binary_entropy, holevo_bound
 from cqca.channel import AttackConfig, AttackTarget, ChannelConfig, FakeStrategy
+from cqca.law import outcome_law
 from cqca.metrics import compute_merit_report
-from cqca.parties import outcome_law, run_rounds
+from cqca.parties import run_rounds
 from cqca.photonics import (
     Action,
     EveProbePair,

@@ -36,16 +36,9 @@ from cqca.channel import (
     return_leg,
     transmit_onward,
 )
+from cqca.law import outcome_law, outcome_table
 from cqca.metrics import expected_multi_rate
-from cqca.parties import (
-    _ROUNDS,
-    _sampling_plan,
-    _select_rows,
-    _stream,
-    outcome_law,
-    outcome_table,
-    run_rounds,
-)
+from cqca.parties import _ROUNDS, _sampling_plan, _select_rows, _stream, run_rounds
 from cqca.photonics import (
     Action,
     Arm,

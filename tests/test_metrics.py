@@ -32,7 +32,8 @@ from cqca.metrics import (
     report_text_block,
     table_merits,
 )
-from cqca.parties import RoundRecord, RoundTable, outcome_table, run_rounds
+from cqca.law import outcome_table
+from cqca.parties import RoundRecord, RoundTable, run_rounds
 from cqca.photonics import Action, Outcome
 
 A, F = Action.A, Action.F

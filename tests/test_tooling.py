@@ -1,12 +1,14 @@
 """Guards on what the benchmark harness and the scripts rely on: every
-module imports on its own, every function the per-layer tracer wraps
-still exists under its name, a session calls the merit report and the
+module imports on its own and at module level (the outcome law's module
+below the protocol), every function the per-layer tracer wraps still
+exists under its name, a session calls the merit report and the
 abort decision through the module attributes the tracer wraps, its packet
 counter reads a session's packet log, each timed workload's warm-up
 session, one abort-scan session of every scan point and a protocol
 session long enough for several transcript chunks pass the workload's own
 check, and the attack sweep script runs."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -34,7 +36,7 @@ importlib.import_module("cqca." + {module!r})
 """
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", (*MODULES, "law"))
 def test_module_imports_first_on_its_own(module):
     pkg = SRC / "cqca"
     code = _IMPORT_ALONE.format(init=str(pkg / "__init__.py"), pkg=str(pkg), module=module)
@@ -42,6 +44,37 @@ def test_module_imports_first_on_its_own(module):
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def _import_targets(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The modules an import statement reads, ``cqca`` ones by bare name."""
+    if isinstance(node, ast.Import) or node.module is None:  # ``from . import x``
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module]
+    return [name.removeprefix("cqca.") for name in names]
+
+
+def test_imports_sit_at_module_level_and_the_law_below_the_protocol():
+    # A call-time import hides a cycle between the modules.  The one kept:
+    # metrics calls analysis.security_threshold() at import.
+    pkg = SRC / "cqca"
+    late = set()
+    for path in sorted(pkg.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        late.update((path.stem, function.name, t) for t in _import_targets(node))
+    assert late == {("analysis", "theoretical_merits", "metrics")}
+    modules = {path.stem for path in pkg.glob("*.py")}
+    law_reads = {
+        target
+        for node in ast.walk(ast.parse((pkg / "law.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for target in _import_targets(node)
+    }
+    assert law_reads & modules == {"photonics", "channel", "adversary"}
 
 
 def _load_tracing():
