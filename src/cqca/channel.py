@@ -1,8 +1,8 @@
-"""Quantum-channel model: loss, dark counts, timing, and attack insertion.
+"""Quantum-channel model: loss, dark counts, and attack insertion.
 
 The channel itself is trivial for a well-behaved run (identity on
 amplitudes); its job is to carry the knobs that perturb a round (aggregate
-loss, per-detector dark counts, randomized emission schedule) and to host
+loss and per-detector dark counts) and to host
 the two hooks where an eavesdropper can touch the light: the onward leg,
 where a probe pair may be entangled with the arms, and the return leg,
 where probing gains nothing and which therefore stays an explicit identity.
@@ -19,11 +19,10 @@ from .photonics import JointState, attach_eve_probe
 
 @dataclass(frozen=True, slots=True)
 class ChannelConfig:
-    """Channel figures: aggregate loss, dark-count rate, emission timing."""
+    """Channel figures: aggregate loss and dark-count rate."""
 
     loss_rate: float = 0.0
     dark_rate: float = 0.0
-    timing_jitter: bool = False
 
     def validate(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
@@ -68,7 +67,6 @@ class AttackConfig:
     p: float = 0.0
     target: AttackTarget = AttackTarget.RANDOM
     strategy: FakeStrategy = FakeStrategy.RANDOM_QUARTER
-    knows_schedule: bool = True
 
     def validate(self) -> None:
         if not 0.0 <= self.theta <= math.pi / 2:
@@ -81,8 +79,8 @@ class AttackConfig:
         return cls()
 
     @classmethod
-    def eve_probe(cls, theta: float, knows_schedule: bool = True) -> "AttackConfig":
-        return cls(kind=AttackKind.EVE_PROBE, theta=theta, knows_schedule=knows_schedule)
+    def eve_probe(cls, theta: float) -> "AttackConfig":
+        return cls(kind=AttackKind.EVE_PROBE, theta=theta)
 
     @classmethod
     def alice_single_path(
@@ -98,20 +96,13 @@ class AttackConfig:
         return cls(kind=AttackKind.ALICE_DOUBLE_PATH, p=p)
 
 
-def transmit_onward(
-    state: JointState, channel_cfg: ChannelConfig, attack: AttackConfig
-) -> JointState:
+def transmit_onward(state: JointState, attack: AttackConfig) -> JointState:
     """Onward leg from the source to the stations.
 
-    An eavesdropper entangles her probe pair here, but only on rounds she
-    can synchronize with: always when she knows the transmission schedule,
-    and otherwise only if emissions are not randomly timed.  A probe that
-    cannot synchronize abstains rather than guessing slots.  Source-side
-    attacks bypass this hook entirely.
+    An eavesdropper entangles her probe pair here on every round.
+    Source-side attacks bypass this hook entirely.
     """
-    if attack.kind is AttackKind.EVE_PROBE and (
-        attack.knows_schedule or not channel_cfg.timing_jitter
-    ):
+    if attack.kind is AttackKind.EVE_PROBE:
         return attach_eve_probe(state, attack.theta)
     return state
 

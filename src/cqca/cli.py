@@ -45,36 +45,28 @@ class RunConfig:
     p: float = 0.25
     strategy: str = "random-quarter"
     target: str = "random"
-    knows_schedule: bool = True
     loss: float = 0.0
     dark_rate: float = 0.0
-    timing_jitter: bool = False
     grid_points: int = 200
     output: str | None = None
     format: str = "text"
 
     def attack_config(self) -> AttackConfig:
-        return AttackConfig(
-            kind=AttackKind(self.attack),
-            theta=self.theta,
-            p=self.p,
-            target=AttackTarget(self.target),
-            strategy=FakeStrategy(self.strategy),
-            knows_schedule=self.knows_schedule,
-        )
+        """The attack built by its kind's constructor, so the fields the kind
+        ignores stay at their defaults (and out of the law's cache key)."""
+        kind = AttackKind(self.attack)
+        if kind is AttackKind.EVE_PROBE:
+            return AttackConfig.eve_probe(self.theta)
+        if kind is AttackKind.ALICE_SINGLE_PATH:
+            return AttackConfig.alice_single_path(
+                self.p, FakeStrategy(self.strategy), AttackTarget(self.target)
+            )
+        if kind is AttackKind.ALICE_DOUBLE_PATH:
+            return AttackConfig.alice_double_path(self.p)
+        return AttackConfig.none()
 
     def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(
-            loss_rate=self.loss, dark_rate=self.dark_rate, timing_jitter=self.timing_jitter
-        )
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise CliError(f"not a boolean: {text!r}")
+        return ChannelConfig(loss_rate=self.loss, dark_rate=self.dark_rate)
 
 
 def _parse_optional(text: str) -> str | None:
@@ -86,12 +78,48 @@ _ANNOTATION_PARSERS = {
     "str": str,
     "int": int,
     "float": float,
-    "bool": _parse_bool,
     "str | None": _parse_optional,
 }
-#: Each config key's parser.  ``command`` is accepted for round-tripping
-#: echoes; the subcommand wins.
+#: Each config key's parser, which also parses its flag.  ``command`` is
+#: accepted for round-tripping echoes; the subcommand wins.
 _FIELD_PARSERS = {fld.name: _ANNOTATION_PARSERS[fld.type] for fld in dataclasses.fields(RunConfig)}
+#: The allowed values of each enumerated field, for its flag and its config key.
+_CHOICES = {
+    "attack": [k.value for k in AttackKind],
+    "strategy": [s.value for s in FakeStrategy],
+    "target": [t.value for t in AttackTarget],
+    "format": ["csv", "json-lines", "text"],
+}
+#: Each subcommand's help line.
+_SUBCOMMANDS = {
+    "simulate": "statistics run with merit report",
+    "protocol": "full session with transcript and keys",
+    "analyze": "security curve CSV over a theta grid",
+    "threshold": "probe-strength and error-rate thresholds",
+}
+#: The subcommands that take a field's flag and check its bounds, where
+#: not the two that run rounds.
+_TAKEN_BY = {
+    "f": ("protocol",),
+    "format": ("simulate",),
+    "grid_points": ("analyze",),
+    "output": tuple(_SUBCOMMANDS),
+}
+#: Each bounded field's range, as a test and the message when it fails.
+_BOUNDS = {
+    "n": (lambda n: n >= 1, "must be positive"),
+    "f": (lambda f: 0.0 < f < 1.0, "must lie in (0, 1)"),
+    "seed": (lambda seed: seed >= 0, "must be non-negative"),
+    "theta": (lambda theta: 0.0 <= theta <= math.pi / 2, "must lie in [0, pi/2]"),
+    "p": (lambda p: 0.0 <= p <= 1.0, "must lie in [0, 1]"),
+    "loss": (lambda loss: 0.0 <= loss < 1.0, "must lie in [0, 1)"),
+    "dark_rate": (lambda rate: 0.0 <= rate < 1.0, "must lie in [0, 1)"),
+    "grid_points": (lambda points: points >= 1, "must be positive"),
+}
+
+
+def _takes(command: str, key: str) -> bool:
+    return command in _TAKEN_BY.get(key, ("simulate", "protocol"))
 
 
 def parse_config_file(text: str) -> dict:
@@ -108,6 +136,11 @@ def parse_config_file(text: str) -> dict:
         value = value.strip()
         if key not in _FIELD_PARSERS:
             raise CliError(f"line {lineno}: unknown config key {key!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            allowed = ", ".join(map(repr, _CHOICES[key]))  # as argparse words it for a flag
+            raise CliError(
+                f"line {lineno}: {key}: invalid choice: {value!r} (choose from {allowed})"
+            )
         try:
             values[key] = _FIELD_PARSERS[key](value)
         except ValueError as exc:
@@ -134,61 +167,36 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built on the first call and reused after."""
+    """The argument parser, built on the first call and reused after.
+
+    Each ``RunConfig`` field but ``command`` is one flag, its name with
+    dashes, parsed like its config key and registered on the subcommands
+    that take it.  A flag left out is absent from the parsed namespace.
+    """
     parser = _Parser(prog="cqca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig(command="simulate")
-
-    def add_common(p: argparse.ArgumentParser, with_run_knobs: bool = True) -> None:
-        p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", choices=["csv", "json-lines", "text"], default=None)
-        if with_run_knobs:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument(
-                "--attack",
-                choices=[k.value for k in AttackKind],
-                default=None,
-            )
-            p.add_argument("--theta", type=float, default=None)
-            p.add_argument("--p", type=float, default=None)
-            p.add_argument(
-                "--strategy", choices=[s.value for s in FakeStrategy], default=None
-            )
-            p.add_argument("--target", choices=[t.value for t in AttackTarget], default=None)
-            p.add_argument(
-                "--knows-schedule",
-                dest="knows_schedule",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-            )
-            p.add_argument("--loss", type=float, default=None)
-            p.add_argument("--dark-rate", dest="dark_rate", type=float, default=None)
-            p.add_argument(
-                "--timing-jitter",
-                dest="timing_jitter",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-            )
-
-    sim = sub.add_parser("simulate", help="statistics run with merit report")
-    add_common(sim)
-    proto = sub.add_parser("protocol", help="full session with transcript and keys")
-    add_common(proto)
-    proto.add_argument("--f", type=float, default=None, help=f"test fraction (default {defaults.f})")
-    ana = sub.add_parser("analyze", help="security curve CSV over a theta grid")
-    add_common(ana, with_run_knobs=False)
-    ana.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    thr = sub.add_parser("threshold", help="probe-strength and error-rate thresholds")
-    add_common(thr, with_run_knobs=False)
+    commands = {name: sub.add_parser(name, help=text) for name, text in _SUBCOMMANDS.items()}
+    for command in commands.values():
+        command.add_argument("--config", help="flat key = value config file")
+    for fld in dataclasses.fields(RunConfig)[1:]:
+        for name, command in commands.items():
+            if _takes(name, fld.name):
+                command.add_argument(
+                    f"--{fld.name.replace('_', '-')}",
+                    type=_FIELD_PARSERS[fld.name],
+                    choices=_CHOICES.get(fld.name),
+                    default=argparse.SUPPRESS,
+                    help=f"default {fld.default}",
+                )
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
+    flags = dict(vars(args))
+    config = flags.pop("config")
+    if config:
+        path = Path(config)
         if not path.exists():
             raise CliError(f"config file not found: {path}")
         try:
@@ -196,27 +204,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
         values.update(parse_config_file(text))
-    for key in _FIELD_PARSERS:
-        if key == "command":
-            continue
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    values.pop("command", None)
-    cfg = RunConfig(command=args.command, **values)
-    if cfg.n < 1:
-        raise CliError("n must be positive")
-    if cfg.seed < 0:
-        raise CliError("seed must be non-negative")
-    if not 0.0 < cfg.f < 1.0:
-        raise CliError("f must lie in (0, 1)")
-    if cfg.grid_points < 1:
-        raise CliError("grid_points must be positive")
-    try:
-        cfg.attack_config().validate()
-        cfg.channel_config().validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    values.update(flags)
+    cfg = RunConfig(**values)
+    for key, (in_range, message) in _BOUNDS.items():
+        if _takes(cfg.command, key) and not in_range(getattr(cfg, key)):
+            raise CliError(f"{key} {message}")
     return cfg
 
 

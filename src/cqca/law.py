@@ -92,7 +92,7 @@ def _photon_branches(
     setting_b: Action, setting_c: Action, attack: AttackConfig, channel_cfg: ChannelConfig
 ) -> Iterator[_Branch]:
     """Branches of a round whose split photon runs the interferometer."""
-    state = transmit_onward(emit(), channel_cfg, attack)
+    state = transmit_onward(emit(), attack)
     for p_b, (state_b, absorbed_b) in party_action_branches(state, Arm.B, setting_b):
         for p_c, (state_c, absorbed_c) in party_action_branches(state_b, Arm.C, setting_c):
             returned = return_leg(state_c)

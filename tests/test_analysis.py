@@ -252,13 +252,6 @@ class TestTheoreticalMerits:
         assert merits["error_rate"] == pytest.approx(error_rate_theory(0.3))
         assert merits["visibility"] == pytest.approx(visibility_theory(0.3))
 
-    def test_abstaining_probe_looks_honest(self):
-        merits = theoretical_merits(
-            AttackConfig.eve_probe(0.9, knows_schedule=False),
-            ChannelConfig(timing_jitter=True),
-        )
-        assert merits["error_rate"] == 0.0
-
     def test_source_attacks(self):
         merits = theoretical_merits(AttackConfig.alice_double_path(0.5), ChannelConfig())
         assert merits["coincidence_rate"] == 0.5

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqca import cli
+from cqca import cli, law, metrics, parties
 from cqca.channel import AttackKind, AttackTarget, FakeStrategy
 from cqca.cli import (
     RunConfig,
@@ -22,6 +22,10 @@ from cqca.cli import (
 )
 from cqca.metrics import expected_multi_rate
 from cqca.parties import line_to_round
+
+
+#: Flags that keep a subcommand's run small, where it takes a size.
+_SMALL_RUN = {"simulate": ("--n", "2000"), "analyze": ("--grid-points", "3")}
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +230,73 @@ class TestConfigHandling:
         for fld in dataclasses.fields(RunConfig):
             assert f"{fld.name} = " in echo
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "3000", "--seed", "4", "--attack", "eve", "--output", "none"),
+            ("protocol", "--n", "3000", "--seed", "4", "--output", "t.txt"),
+            ("analyze", "--grid-points", "7", "--output", "none"),
+            ("threshold", "--output", "none"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_echo_reruns_the_run(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        config = tmp_path / "echo.cfg"
+        config.write_text(err.split("# effective-config\n", 1)[1])
+        rerun_code, rerun_out, _ = run_cli(capsys, argv[0], "--config", str(config))
+        assert (rerun_code, rerun_out) == (code, out)
+
+    def test_bad_config_choice_names_the_choices(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 1 and out == ""
+        choices = "(choose from 'csv', 'json-lines', 'text')"
+        assert "format" in err and choices in err
+        _, _, flag_err = run_cli(capsys, "simulate", "--format", "xml")
+        assert choices in flag_err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "threshold"])
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_output_none_is_stdout(self, capsys, tmp_path, monkeypatch, command, spelling):
+        monkeypatch.chdir(tmp_path)
+        if spelling == "flag":
+            output_args = ("--output", "none")
+        else:
+            (tmp_path / "run.cfg").write_text("output = none\n")
+            output_args = ("--config", "run.cfg")
+        size = _SMALL_RUN.get(command, ())
+        code, out, _ = run_cli(capsys, command, *size, *output_args)
+        assert code == 0 and out
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "analyze", "threshold"])
+    def test_format_only_on_simulate(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--format", "csv")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --format" in err
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("threshold", "n"), ("analyze", "seed"), ("simulate", "grid_points"), ("analyze", "f")],
+    )
+    def test_bounds_checked_only_where_taken(self, capsys, tmp_path, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = -1\noutput = {tmp_path / 'out.txt'}\n")
+        size = _SMALL_RUN.get(command, ())
+        code, _, err = run_cli(capsys, command, *size, "--config", str(config))
+        assert code == 0, err
+
+    def test_honest_run_walks_one_law(self, capsys, tmp_path):
+        for cached in (law.outcome_law, law.outcome_table, metrics._honest_baseline,
+                       parties._sampling_plan):
+            cached.cache_clear()
+        code, _, _ = run_cli(capsys, "protocol", "--n", "2000", "--output", str(tmp_path / "t"))
+        assert code == 0
+        assert law.outcome_law.cache_info().misses == 1
+
 
 class TestRobustness:
     @pytest.mark.parametrize(
@@ -355,8 +426,6 @@ def _run_argv(draw):
         "--target", draw(st.sampled_from([t.value for t in AttackTarget])),
         "--loss", repr(draw(_rate(0.999))),
         "--dark-rate", repr(draw(_rate(0.5))),
-        "--timing-jitter" if draw(st.booleans()) else "--no-timing-jitter",
-        "--knows-schedule" if draw(st.booleans()) else "--no-knows-schedule",
     ]
     if command == "protocol":
         argv += ["--f", repr(draw(st.one_of(st.just(1e-3), st.floats(1e-6, 0.999))))]
@@ -366,9 +435,10 @@ def _run_argv(draw):
 @settings(max_examples=25, deadline=None)
 @given(argv=_run_argv())
 def test_run_commands_exit_cleanly(tmp_path_factory, argv):
-    output = tmp_path_factory.mktemp("run") / "out.txt"
+    argv = [*argv, "--output", str(tmp_path_factory.mktemp("run") / "out.txt")]
+    build_parser().parse_args(argv)  # a usage error would only test the parser
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([*argv, "--output", str(output)])
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()

@@ -352,7 +352,7 @@ def test_bulk_sampler_draws_from_the_law(label, attack, channel, seed):
 
 def _reference_round(sb, sc, attack, channel, rng):
     """One unattacked round through the per-round primitives."""
-    state = transmit_onward(emit(), channel, attack)
+    state = transmit_onward(emit(), attack)
     state, absorbed_b = apply_party_action(state, Arm.B, sb, rng)
     state, absorbed_c = apply_party_action(state, Arm.C, sc, rng)
     state = return_leg(state)
