@@ -19,6 +19,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import re
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,11 +125,17 @@ def _takes(command: str, key: str) -> bool:
     return command in _TAKEN_BY.get(key, ("simulate", "protocol"))
 
 
+def _strip_comment(text: str) -> str:
+    """``text`` without surrounding whitespace or a comment: a ``#`` at its
+    start or after whitespace, and all that follows."""
+    return re.split(r"(?:^|\s)#", text, maxsplit=1)[0].strip()
+
+
 def parse_config_file(text: str) -> dict:
     """Flat ``key = value`` format, ``#`` comments, unknown keys rejected."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw)
         if not line:
             continue
         if "=" not in line:
@@ -204,6 +213,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
         values.update(parse_config_file(text))
+    for key, value in flags.items():  # its echo reads back as one line, unstripped
+        if isinstance(value, str) and [_strip_comment(value)] != value.splitlines(True):
+            raise CliError(
+                f"{key} {value!r} would not survive its echo: a config value cannot "
+                "start or end with whitespace, hold a line break, or '#' after whitespace"
+            )
     values.update(flags)
     cfg = RunConfig(**values)
     for key, (in_range, message) in _BOUNDS.items():
@@ -213,10 +228,39 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write(path: Path, chunks: Iterable[bytes | np.ndarray]) -> None:
-    """Write the byte chunks to ``path`` in order."""
+    """Write the byte chunks to ``path`` in order, over what it held.
+
+    The file is not truncated when opened but, if it is a regular file,
+    cut to the bytes written once they are written, also when a write
+    fails part way, so no byte of an earlier file stays past the new ones.
+    Any other target (``/dev/null``, a FIFO, a tty) is only written.
+    """
     try:
-        with path.open("wb") as out:
-            out.writelines(chunks)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as out:
+            regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+            written = 0
+            try:
+                for chunk in chunks:
+                    view = memoryview(chunk).cast("B")
+                    while view:
+                        count = out.write(view)
+                        written += count
+                        view = view[count:]
+            finally:
+                if regular:
+                    out.truncate(written)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _remove_stale(path: Path) -> None:
+    """Remove a regular file an earlier run left at ``path``; leave anything
+    else there alone."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -269,6 +313,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_protocol(cfg: RunConfig) -> int:
+    """Run a session; an abort leaves no earlier run's keys at the output."""
+    out_path = Path(cfg.output) if cfg.output else Path("cqca-transcript.txt")
+    keys_path = Path(f"{out_path}.keys")
     try:
         transcript = parties.run_protocol(
             cfg.n,
@@ -278,16 +325,17 @@ def cmd_protocol(cfg: RunConfig) -> int:
             channel_cfg=cfg.channel_config(),
         )
     except metrics.InsufficientSample as exc:
+        _remove_stale(keys_path)
+        _remove_stale(out_path)
         return _abort_insufficient(exc)
-    out_path = Path(cfg.output) if cfg.output else Path("cqca-transcript.txt")
     _write(out_path, parties.transcript_chunks(transcript.rounds))
     print(f"transcript = {out_path}")
     print(f"rounds = {len(transcript.rounds)}")
     print(f"verdict = {transcript.verdict}")
     if not transcript.verdict.key_produced:
+        _remove_stale(keys_path)
         print(f"ABORT reasons={','.join(transcript.verdict.abort_reasons)}")
         return 2
-    keys_path = out_path.with_suffix(out_path.suffix + ".keys")
     key_lines = [
         f"key_bits = {len(transcript.key_bob)}",
         f"key_bob_hex = {parties.key_to_hex(transcript.key_bob)}",

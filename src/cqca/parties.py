@@ -645,7 +645,9 @@ def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
         for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
     ]
     bits = rounds.sifted_bits
-    kinds = 4 * rounds.row_ids.astype(np.intp) + np.where(bits < 0, rounds.sampled, 2 + bits)
+    keyed = bits >= 0
+    kinds = rounds.row_ids << 2  # int16 like the row ids: at most 4 * cells - 1
+    kinds += keyed * (2 + bits) | rounds.sampled & ~keyed
     return _decimal_chunks(rounds.round_ids, tails, kinds)
 
 

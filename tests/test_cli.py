@@ -3,9 +3,12 @@ effective-config echo, and output formats."""
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +160,41 @@ class TestProtocolCommand:
         abort_lines = [line for line in out.splitlines() if line.startswith("ABORT")]
         assert abort_lines and "coincidence" in abort_lines[0]
 
+    @pytest.mark.parametrize(
+        "abort", [("--attack", "alice-double", "--p", "1.0"), ("--n", "3")],
+        ids=["verdict", "insufficient-sample"],
+    )
+    def test_abort_leaves_no_earlier_run_files(self, capsys, tmp_path, abort):
+        target = tmp_path / "t.txt"
+        keys = tmp_path / "t.txt.keys"
+        run = ("protocol", "--n", "4000", "--seed", "7", "--output", str(target))
+        assert run_cli(capsys, *run)[0] == 0 and keys.is_file()
+        code, _, _ = run_cli(capsys, *run, *abort)
+        assert code == 2 and not keys.exists()
+        # the verdict abort writes its own transcript; the sample abort has none
+        assert target.exists() == (abort[0] == "--attack")
+
+    def test_abort_leaves_what_is_not_a_regular_file(self, capsys, tmp_path):
+        target = tmp_path / "t.txt"
+        (tmp_path / "t.txt.keys").mkdir()
+        code, _, _ = run_cli(capsys, "protocol", "--n", "3", "--output", str(target))
+        assert code == 2 and (tmp_path / "t.txt.keys").is_dir()
+
+    def test_failed_removal_exits_one(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "t.txt"
+        (tmp_path / "t.txt.keys").write_text("key_bits = 1\n")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        code, out, err = run_cli(
+            capsys, "protocol", "--n", "4000", "--seed", "7", "--attack", "alice-double",
+            "--p", "1.0", "--output", str(target),
+        )
+        assert code == 1 and "ABORT" not in out
+        assert f"error: cannot write {target}.keys: Permission denied" in err
+
 
 class TestAnalyzeCommand:
     def test_writes_curve_csv(self, capsys, tmp_path):
@@ -168,6 +206,62 @@ class TestAnalyzeCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "theta,e,visibility,e1,chi,i_bc,key_rate"
         assert len(lines) == 51
+
+
+class TestOutputFiles:
+    """Output files are rewritten in place and cut to the new length."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "2000", "--format", "csv"),
+            ("protocol", "--n", "2000", "--seed", "7"),
+            ("analyze", "--grid-points", "3"),
+            ("threshold",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rewrites_a_longer_file_exactly(self, capsys, tmp_path, argv):
+        fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+        suffixes = ("", ".keys") if argv[0] == "protocol" else ("",)
+        if argv[0] == "protocol":
+            # an earlier, longer session with more key bits
+            run_cli(capsys, "protocol", "--n", "4000", "--seed", "7", "--output", str(reused))
+        else:
+            reused.write_bytes(b"earlier output\n" * 5000)
+        earlier = {suffix: Path(f"{reused}{suffix}").read_text() for suffix in suffixes}
+        assert run_cli(capsys, *argv, "--output", str(fresh))[0] == 0
+        assert run_cli(capsys, *argv, "--output", str(reused))[0] == 0
+        for suffix in suffixes:
+            now = Path(f"{reused}{suffix}").read_text()
+            assert len(now) < len(earlier[suffix])
+            assert now == Path(f"{fresh}{suffix}").read_text()
+        if argv[0] == "protocol":
+            first, second = (
+                int(text.partition("\n")[0].removeprefix("key_bits = "))
+                for text in (earlier[".keys"], now)
+            )
+            assert second < first
+
+    def test_failed_write_leaves_no_earlier_bytes(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "t.txt"
+        target.write_bytes(b"earlier transcript\n" * 5000)
+
+        def failing_chunks(rounds):
+            yield b"0,first chunk\n"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(parties, "transcript_chunks", failing_chunks)
+        code, out, err = run_cli(capsys, "protocol", "--n", "2000", "--output", str(target))
+        assert code == 1 and out == ""
+        assert f"error: cannot write {target}: No space left on device" in err
+        assert target.read_bytes() == b"0,first chunk\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "threshold"])
+    def test_device_output_is_not_cut(self, capsys, command):
+        size = _SMALL_RUN.get(command, ())
+        code, _, err = run_cli(capsys, command, *size, "--output", os.devnull)
+        assert code == 0, err
 
 
 class TestConfigHandling:
@@ -237,6 +331,10 @@ class TestConfigHandling:
             ("protocol", "--n", "3000", "--seed", "4", "--output", "t.txt"),
             ("analyze", "--grid-points", "7", "--output", "none"),
             ("threshold", "--output", "none"),
+            pytest.param(
+                ("protocol", "--n", "3000", "--seed", "4", "--output", "a#b.txt"),
+                id="protocol-hash-in-output",
+            ),
         ],
         ids=lambda argv: argv[0],
     )
@@ -247,6 +345,14 @@ class TestConfigHandling:
         config.write_text(err.split("# effective-config\n", 1)[1])
         rerun_code, rerun_out, _ = run_cli(capsys, argv[0], "--config", str(config))
         assert (rerun_code, rerun_out) == (code, out)
+
+    @pytest.mark.parametrize("value", ["a #b.txt", " a.txt", "a.txt ", "#a.txt", "a\nb.txt"])
+    def test_flag_its_echo_cannot_carry_exits_one(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "threshold", "--output", value)
+        assert code == 1 and out == ""
+        assert "error: output " in err and "would not survive its echo" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_choice_names_the_choices(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -6,7 +6,8 @@ abort decision through the module attributes the tracer wraps, its packet
 counter reads a session's packet log, each timed workload's warm-up
 session, one abort-scan session of every scan point and a protocol
 session long enough for several transcript chunks pass the workload's own
-check, and the attack sweep script runs."""
+check, the attack sweep script runs, and one function in the package opens
+files for writing."""
 
 import ast
 import importlib
@@ -75,6 +76,43 @@ def test_imports_sit_at_module_level_and_the_law_below_the_protocol():
         for target in _import_targets(node)
     }
     assert law_reads & modules == {"photonics", "channel", "adversary"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``os.open``, ``write_text``,
+    ``write_bytes``, or ``open``/``Path.open`` with a writing mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    # builtin open(file, mode) or Path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    return any(
+        not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+        for mode in modes
+    )
+
+
+def test_cli_write_is_the_one_writer():
+    # every output goes through the in-place writer
+    writers = set()
+    for path in sorted((SRC / "cqca").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # each node's innermost function, else the module's code
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        writers.update(
+            (path.stem, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _opens_for_writing(node)
+        )
+    assert writers == {("cli", "_write")}
 
 
 def _load_tracing():
