@@ -202,9 +202,7 @@ def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
 
 
 def _sample_tallies(rounds: RoundTable) -> dict[str, int]:
-    layout = rounds.layout
-    counts = np.bincount(rounds.row_ids, minlength=len(layout.cells))
-    return dict(zip(TALLIES, (layout.tallies @ counts).tolist()))
+    return dict(zip(TALLIES, (rounds.layout.tallies @ rounds.row_counts()).tolist()))
 
 
 def compute_merit_report(disclosed: RoundTable, all_rounds: RoundTable, n: int) -> MeritReport:

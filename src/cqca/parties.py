@@ -13,9 +13,12 @@ joint CDF over its rows.  Each round is one 64-bit draw from the session's
 round stream looked up on that CDF, so its settings, source-attack flag
 and outcome come together.
 A run holds its rounds as columns (``RoundTable``): each round's row of
-that law's ``CellLayout``, its sampled flag and its sifted bit.  Eve's
-guesses are columns too (``adversary.EveGuesses``).  The packet log is
-derived from the columns when it is read (``PacketStream``).
+that law's ``CellLayout``, its sampled flag and its sifted bit; a round's
+id is its position until ``take`` picks rounds out.  Eve's guesses are
+columns too (``adversary.EveGuesses``).  The packet log is derived from the
+columns when it is read (``PacketStream``).  Every pass over the rounds
+works a block of ``_CHUNK_IDS`` of them at a time, so a session's working
+set is its columns plus one block.
 
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
@@ -170,6 +173,18 @@ def control_body(op: ControlOp, payload: bytes = b"") -> bytes:
     return bytes([op.value]) + payload
 
 
+#: Rounds per block of every per-round pass: the draw, the counts, the key
+#: positions and the transcript.  Bounds what a pass holds beside the columns.
+_CHUNK_IDS = 1 << 14
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of at most ``_CHUNK_IDS`` positions covering 0 .. n - 1, in order."""
+    size = _CHUNK_IDS
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
 @dataclass(slots=True)
 class RoundRecord:
     """One protocol round as the stations can reconstruct it afterwards."""
@@ -232,20 +247,26 @@ class RoundTable:
     """A run's rounds as columns.
 
     ``row_ids`` gives each round's row in ``layout``, the few contingency
-    cells the run can produce; the other columns hold each round's id, its
-    sampled flag and its sifted bit (-1 for none).  Iterating yields one
+    cells the run can produce; the other columns hold each round's sampled
+    flag and its sifted bit (-1 for none).  ``ids`` holds each round's id,
+    or is None when the ids are the positions, as in a run's own table;
+    ``round_ids`` reads them either way.  Iterating yields one
     ``RoundRecord`` per round.
     """
 
     row_ids: np.ndarray
     layout: CellLayout
-    round_ids: np.ndarray
     sampled: np.ndarray
     sifted_bits: np.ndarray
+    ids: np.ndarray | None = None
 
     @property
     def cells(self) -> tuple[Cell, ...]:
         return self.layout.cells
+
+    @property
+    def round_ids(self) -> np.ndarray:
+        return np.arange(len(self)) if self.ids is None else self.ids
 
     @classmethod
     def from_records(cls, records: Iterable[RoundRecord]) -> RoundTable:
@@ -260,9 +281,9 @@ class RoundTable:
         return cls(
             np.array(rows, dtype=np.int16),
             CellLayout.of(tuple(index)),
-            np.array(ids, dtype=np.int64),
             np.array(sampled, dtype=bool),
             np.array(bits, dtype=np.int8),
+            np.array(ids, dtype=np.int64),
         )
 
     def __len__(self) -> int:
@@ -275,14 +296,24 @@ class RoundTable:
             yield RoundRecord(round_id, *cells[row], sampled, None if bit < 0 else bit)
 
     def take(self, positions: np.ndarray) -> RoundTable:
-        """The rounds at the given positions."""
+        """The rounds at the given positions, keeping their ids: in a table
+        whose ids are its positions, a copy of ``positions``."""
+        ids = np.array(positions, dtype=np.int64) if self.ids is None else self.ids[positions]
         return RoundTable(
             self.row_ids[positions],
             self.layout,
-            self.round_ids[positions],
             self.sampled[positions],
             self.sifted_bits[positions],
+            ids,
         )
+
+    def row_counts(self) -> np.ndarray:
+        """The number of rounds on each row of the layout, counted a block
+        at a time: ``bincount`` widens the row ids it counts to intp."""
+        counts = np.zeros(len(self.cells), dtype=np.intp)
+        for block in _blocks(len(self)):
+            counts += np.bincount(self.row_ids[block], minlength=len(counts))
+        return counts
 
 
 _SAMPLE_IDS_PER_PACKET = 8000
@@ -369,7 +400,10 @@ class SimulationResult:
 
 def _key_positions(rounds: RoundTable) -> np.ndarray:
     """Positions of the unsampled D1 rounds, the rounds both stations key on."""
-    return np.flatnonzero(rounds.layout.d1.take(rounds.row_ids) & ~rounds.sampled)
+    keyed = np.empty(len(rounds), dtype=bool)
+    for block in _blocks(len(rounds)):
+        keyed[block] = rounds.layout.d1.take(rounds.row_ids[block]) & ~rounds.sampled[block]
+    return np.flatnonzero(keyed)
 
 
 def _station_keys(key_rounds: RoundTable) -> tuple[list[int], list[int]]:
@@ -458,27 +492,32 @@ def _draw_rounds(
 
     Each round is one raw 64-bit draw from the round stream, looked up on
     the joint law of its settings, source-attack flag and outcome
-    (``_select_rows``), so its row carries all three.  Returns the round
-    table, the ids of the rounds that carry Eve's probe, and her P(guess 1)
-    on each of them.
+    (``_select_rows``), so its row carries all three.  The draws come a
+    block at a time, in stream order.  Returns the round table, the ids of
+    the rounds that carry Eve's probe, and her P(guess 1) on each of them.
     """
     plan = _sampling_plan(attack, channel_cfg)
-    rows = _select_rows(plan, _stream(seed, _ROUNDS).bit_generator.random_raw(n))
-    probed = np.flatnonzero(plan.probe.take(rows))
-    unsifted = np.full(n, -1, dtype=np.int8)
-    rounds = RoundTable(rows, plan.layout, np.arange(n), np.zeros(n, dtype=bool), unsifted)
+    random_raw = _stream(seed, _ROUNDS).bit_generator.random_raw
+    rows = np.empty(n, dtype=np.int16)
+    probed_blocks = []
+    for block in _blocks(n):
+        rows[block] = _select_rows(plan, random_raw(block.stop - block.start))
+        probed_blocks.append(np.flatnonzero(plan.probe.take(rows[block])) + block.start)
+    probed = np.concatenate(probed_blocks)
+    rounds = RoundTable(rows, plan.layout, np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8))
     return rounds, probed, plan.p_one.take(rows.take(probed))
 
 
 def _eve_guesses(
     rounds: RoundTable, probed: np.ndarray, p_one: np.ndarray, seed: int
 ) -> EveGuesses:
-    """Eve's Helstrom guesses on the probed rounds, one uniform each in
-    round order, beside the bit the stations shared.  Her stream is built
-    only when she measures a round."""
+    """Eve's Helstrom guesses on the probed rounds of a run's own table,
+    whose positions are its ids, one uniform each in round order, beside
+    the bit the stations shared.  Her stream is built only when she
+    measures a round."""
     uniforms = _stream(seed, _EVE).random(len(probed)) if len(probed) else np.empty(0)
     true_bits = rounds.layout.sifted_bit.take(rounds.row_ids.take(probed))
-    return EveGuesses(rounds.round_ids.take(probed), (uniforms < p_one).astype(np.int8), true_bits)
+    return EveGuesses(probed, (uniforms < p_one).astype(np.int8), true_bits)
 
 
 def run_rounds(
@@ -524,8 +563,8 @@ def run_protocol(
     channel_cfg.validate()
     rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
     sampler = _stream(seed, _SAMPLER)
-    sampled_ids = np.sort(sampler.choice(n, int(n * f), replace=False, shuffle=False))
-    rounds.sampled[sampled_ids] = True
+    rounds.sampled[sampler.choice(n, int(n * f), replace=False, shuffle=False)] = True
+    sampled_ids = np.flatnonzero(rounds.sampled)
     report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
     verdict = metrics.abort_decision(report, channel_cfg)
 
@@ -579,10 +618,6 @@ def line_to_round(line: str) -> RoundRecord:
     )
 
 
-#: Ids formatted per chunk of decimal output; bounds the formatter's
-#: working memory.
-_CHUNK_IDS = 1 << 14
-
 _QUADS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
 #: ``_DIGITS[g][v]`` is v < 10**g as g zero-padded decimal digits (``S{g}``).
 _DIGITS = {g: _QUADS[: 10**g, 4 - g :].copy().view(f"S{g}").ravel() for g in range(1, 5)}
@@ -593,62 +628,136 @@ def _fill(rows: np.ndarray, column: int, table: np.ndarray, keys: np.ndarray) ->
     rows[:, column : column + table.itemsize].view(table.dtype)[:, 0] = table.take(keys)
 
 
-def _decimal_chunks(
-    ids: np.ndarray, tails: Sequence[bytes], kinds: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Each id in decimal followed by ``tails[kind]``, as contiguous uint8
-    arrays of one line a row, from chunks of at most ``_CHUNK_IDS`` ids.
+def _pieces(length: int) -> list[tuple[int, int]]:
+    """A tail of ``length`` bytes cut into native widths, widest first:
+    each piece's (offset, width)."""
+    pieces, offset = [], 0
+    for width in (16, 8, 4, 2, 1):
+        while offset + width <= length:
+            pieces.append((offset, width))
+            offset += width
+    return pieces
 
-    A chunk splits into runs of lines of one shape: digit count and tail
-    length.  A run is one take from a table of the tails behind placeholder
-    digits, and its digits go in four at a time from ``_DIGITS``.  Ascending
-    ids make one run per digit count; other orders, one per change of shape.
+
+def _put_ids(rows: np.ndarray, ids: np.ndarray, digits: int) -> None:
+    """Write each id, of ``digits`` decimal digits, at the start of its row,
+    four digits at a time."""
+    for column in range(digits - 4, 0, -4):
+        high = ids // 10**4
+        _fill(rows, column, _DIGITS[4], ids - high * 10**4)
+        ids = high
+    _fill(rows, 0, _DIGITS[(digits - 1) % 4 + 1], ids)
+
+
+def _put_positions(rows: np.ndarray, first: int, digits: int) -> None:
+    """Write the ids first, first + 1, ..., each of ``digits`` decimal
+    digits, at the start of the rows.  Between multiples of 10**4 the low
+    four digits are one slice of ``_DIGITS`` and the digits above them one
+    value."""
+    low = min(digits, 4)
+    stop = first + len(rows)
+    edges = [first, *range((first // 10**4 + 1) * 10**4, stop, 10**4), stop]
+    for lo, hi in zip(edges, edges[1:]):
+        high, offset = divmod(lo, 10**4)
+        part = rows[lo - first : hi - first]
+        part[:, digits - low : digits].view(f"S{low}")[:, 0] = _DIGITS[low][offset : offset + hi - lo]
+        if digits > 4:
+            part[:, : digits - 4].view(f"S{digits - 4}")[:, 0] = b"%d" % high
+
+
+def _changes(values: np.ndarray) -> list[int]:
+    """The indices whose value differs from the one before."""
+    return (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+
+
+def _line_chunks(
+    ids: np.ndarray | None,
+    n: int,
+    tails: Sequence[bytes],
+    kinds_of: Callable[[slice], np.ndarray],
+) -> Iterator[np.ndarray]:
+    """n lines, each an id in decimal followed by ``tails[kind]``, as
+    contiguous uint8 arrays of one line a row, from blocks of at most
+    ``_CHUNK_IDS`` lines.  ``ids`` holds the ids, or is None when they are
+    the positions 0 .. n - 1; ``kinds_of`` gives a block's kinds.
+
+    A block splits into runs of lines of one shape: digit count and tail
+    length.  Only the digits depend on where the ids come from: positions
+    change digit count at powers of ten alone and are written from slices
+    (``_put_positions``); other ids are measured and written line by line
+    (``_put_ids``).  A run's tails are takes from tables of their pieces of
+    native width.
     """
-    if len(ids) == 0:
-        return
-    if ids.min() < 0:
-        raise ValueError("ids must be non-negative")
     lengths = np.array([len(tail) for tail in tails])
-    span = int(lengths.max()) + 1
-    powers = 10 ** np.arange(1, len(str(int(ids.max()))), dtype=np.int64)
-    line_tables: dict[tuple[int, int], np.ndarray] = {}
-    for start in range(0, len(ids), _CHUNK_IDS):
-        chunk = ids[start : start + _CHUNK_IDS]
-        kind = kinds[start : start + _CHUNK_IDS]
-        # A line's shape is (its digit count - 1) * span + its tail length.
-        shapes = np.searchsorted(powers, chunk, side="right") * span + lengths.take(kind)
-        edges = [0, *(np.flatnonzero(shapes[1:] != shapes[:-1]) + 1).tolist(), len(chunk)]
+    uneven = len(set(lengths.tolist())) > 1
+    if ids is None:
+        powers = [10**k for k in range(1, len(str(n)))]
+    elif n:
+        if ids.min() < 0:
+            raise ValueError("ids must be non-negative")
+        powers = 10 ** np.arange(1, len(str(int(ids.max()))), dtype=np.int64)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for block in _blocks(n):
+        kind = kinds_of(block)
+        if ids is None:
+            cuts = [power - block.start for power in powers if block.start < power < block.stop]
+        else:
+            chunk = ids[block]
+            cuts = _changes(np.searchsorted(powers, chunk, side="right"))
+        if uneven:
+            cuts = sorted({*cuts, *_changes(lengths.take(kind))})
+        edges = [0, *cuts, len(kind)]
         for lo, hi in zip(edges, edges[1:]):
-            digits, tail = divmod(int(shapes[lo]) + span, span)
-            if (digits, tail) not in line_tables:
-                records = b"".join(bytes(digits) + t[:tail].ljust(tail, b"\0") for t in tails)
-                line_tables[digits, tail] = np.frombuffer(records, dtype=f"V{digits + tail}")
-            rows = line_tables[digits, tail].take(kind[lo:hi]).view(np.uint8).reshape(hi - lo, -1)
-            rest = chunk[lo:hi]
-            for column in range(digits - 4, 0, -4):
-                high = rest // 10**4
-                _fill(rows, column, _DIGITS[4], rest - high * 10**4)
-                rest = high
-            _fill(rows, 0, _DIGITS[(digits - 1) % 4 + 1], rest)
+            first = block.start + lo if ids is None else int(chunk[lo])
+            digits, tail = len(str(first)), int(lengths[kind[lo]])
+            rows = np.empty((hi - lo, digits + tail), dtype=np.uint8)
+            if ids is None:
+                _put_positions(rows, first, digits)
+            else:
+                _put_ids(rows, chunk[lo:hi], digits)
+            for offset, width in _pieces(tail):
+                if (offset, width) not in tables:
+                    pieces = b"".join(t[offset : offset + width].ljust(width, b"\0") for t in tails)
+                    tables[offset, width] = np.frombuffer(pieces, dtype=f"V{width}")
+                _fill(rows, digits + offset, tables[offset, width], kind[lo:hi])
             yield rows
 
 
-def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
-    """``round_to_line`` of every round plus a newline, as uint8 chunks.
+def _decimal_chunks(
+    ids: np.ndarray, tails: Sequence[bytes], kinds: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each of the non-negative ``ids`` in decimal followed by
+    ``tails[kind]``, as in ``_line_chunks``."""
+    return _line_chunks(ids, len(ids), tails, kinds.__getitem__)
 
-    Each line is its round id and one of four tails per cell: unsampled,
-    sampled, or a key round carrying bit 0 or 1.
-    """
-    tails = [
+
+def _transcript_tails(cells: Sequence[Cell]) -> list[bytes]:
+    """A transcript line after its round id, newline included: four kinds
+    per cell, unsampled, sampled, or a key round carrying bit 0 or 1."""
+    return [
         (round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0") + "\n").encode()
-        for cell in rounds.cells
+        for cell in cells
         for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
     ]
-    bits = rounds.sifted_bits
+
+
+def _line_kinds(rounds: RoundTable, block: slice) -> np.ndarray:
+    """Each round's kind of ``_transcript_tails`` line, over a block."""
+    bits = rounds.sifted_bits[block]
     keyed = bits >= 0
-    kinds = rounds.row_ids << 2  # int16 like the row ids: at most 4 * cells - 1
-    kinds += keyed * (2 + bits) | rounds.sampled & ~keyed
-    return _decimal_chunks(rounds.round_ids, tails, kinds)
+    kinds = rounds.row_ids[block] << 2  # int16 like the row ids: at most 4 * cells - 1
+    kinds += keyed * (2 + bits) | rounds.sampled[block] & ~keyed
+    return kinds
+
+
+def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
+    """``round_to_line`` of every round plus a newline, as uint8 chunks."""
+    return _line_chunks(
+        rounds.ids,
+        len(rounds),
+        _transcript_tails(rounds.cells),
+        functools.partial(_line_kinds, rounds),
+    )
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:

@@ -105,6 +105,19 @@ def tabulate(rounds) -> Counter:
     )
 
 
+def one_shot_draw(n, attack, channel_cfg, seed):
+    """The reference for ``parties._draw_rounds``: all n raw draws of the
+    round stream looked up on the law at once, the positions of the rows
+    Eve probes, and her P(guess 1) on each."""
+    from cqca import parties
+
+    plan = parties._sampling_plan(attack, channel_cfg)
+    raw = parties._stream(seed, parties._ROUNDS).bit_generator.random_raw(n)
+    rows = parties._select_rows(plan, raw)
+    probed = np.flatnonzero(plan.probe.take(rows))
+    return rows, probed, plan.p_one.take(rows.take(probed))
+
+
 @functools.cache
 def load_workloads():
     """The benchmark's workload module, for its scan points and checks."""

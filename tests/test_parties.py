@@ -4,6 +4,7 @@ announcement stream, and transcript determinism."""
 import itertools
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqca import parties
+from conftest import one_shot_draw
+from cqca import adversary, metrics, parties
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
@@ -389,6 +391,23 @@ class TestStreams:
         rows = run_rounds(n, attack, channel, seed=seed).rounds.row_ids
         np.testing.assert_array_equal(rows, np.searchsorted(plan.cdf, u, side="right"))
 
+    # the block size -1, exact and +1, and a partial fourth block
+    @pytest.mark.parametrize(
+        "n", [1, _CHUNK_IDS - 1, _CHUNK_IDS, _CHUNK_IDS + 1, 3 * _CHUNK_IDS + 7]
+    )
+    @pytest.mark.parametrize("attack,channel", [
+        (AttackConfig.none(), ChannelConfig()),
+        (AttackConfig.eve_probe(0.6), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+        (AttackConfig.alice_double_path(0.5), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+    ], ids=["honest", "eve-0.6-lossy", "double-0.5-lossy"])
+    def test_block_draws_equal_the_one_shot_draw(self, attack, channel, n):
+        rounds, probed, p_one = parties._draw_rounds(n, attack, channel, seed=13)
+        rows, expected_probed, expected_p_one = one_shot_draw(n, attack, channel, 13)
+        assert rounds.row_ids.dtype == np.int16 and rounds.ids is None
+        np.testing.assert_array_equal(rounds.row_ids, rows)
+        np.testing.assert_array_equal(probed, expected_probed)
+        np.testing.assert_array_equal(p_one, expected_p_one)
+
     def test_disclosed_sample_is_the_sampler_streams_choice(self):
         n, f, seed = 3_000, 0.25, 4
         expected = np.random.SeedSequence(seed).spawn(3)[_SAMPLER]
@@ -482,6 +501,32 @@ class TestTranscriptBytes:
         assert len(taken) > _CHUNK_IDS
         assert _written(taken) == _line_bytes(taken)
 
+    # every digit count from one to six on both sides of its power of ten,
+    # the multiples of 10**4 and the block size -1, exact and +1
+    @pytest.mark.parametrize("n", [
+        1, 9, 10, 11, 99, 100, 101, 9_999, 10_000, 10_001,
+        _CHUNK_IDS - 1, _CHUNK_IDS, _CHUNK_IDS + 1, 100_001,
+    ])
+    def test_positions_write_like_explicit_ids(self, n):
+        rng = np.random.default_rng(n)
+        channel = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+        layout = parties._sampling_plan(AttackConfig.eve_probe(0.3), channel).layout
+        sampled = rng.random(n) < 0.25
+        bits = np.where(sampled, -1, rng.integers(-1, 2, n)).astype(np.int8)
+        rows = rng.integers(0, len(layout.cells), n).astype(np.int16)
+        table = RoundTable(rows, layout, sampled, bits)
+        np.testing.assert_array_equal(table.round_ids, np.arange(n))
+        tails = parties._transcript_tails(layout.cells)
+        kinds = parties._line_kinds(table, slice(None))
+        explicit = b"".join(bytes(c) for c in _decimal_chunks(np.arange(n), tails, kinds))
+        assert _written(table) == explicit == _line_bytes(table)
+
+    def test_taken_ids_are_a_copy_of_the_positions(self, honest):
+        positions = np.array([5, 3, 19_999])
+        taken = honest.rounds.take(positions)
+        positions[:] = 0
+        assert taken.round_ids.tolist() == [5, 3, 19_999]
+
     def test_record_ids_across_digit_counts(self):
         records = [
             _record(0, Action.A, Action.F, Outcome.D1),
@@ -546,6 +591,43 @@ class TestTranscriptBytes:
         lines = b"".join(str(i).encode() + tails[k] for i, k in zip(ids, kinds))
         assert b"".join(bytes(chunk) for chunk in chunks) == lines
         assert joined == tails[0].join(str(i).encode() for i in ids)
+
+
+def _traced_peak(session) -> int:
+    """The tracemalloc peak of a session, in bytes, after one untraced run
+    has filled the law caches."""
+    session()
+    tracemalloc.start()
+    try:
+        session()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _simulate_eve():
+    result = run_rounds(100_000, AttackConfig.eve_probe(0.3), seed=3)
+    metrics.compute_merit_report(result.rounds, result.rounds, 100_000)
+    adversary.empirical_mutual_information(result.eve_records)
+
+
+class TestWorkingSet:
+    """A 1e5-round session holds its columns, 0.38 MiB of int16 row ids,
+    bool sampled flags and int8 sifted bits, plus one block of rounds at a
+    time.  ``run_protocol`` also holds ``Generator.choice``'s internal
+    ``arange(n)`` (0.76 MiB of int64) and its draw while it marks the
+    sample; Eve's columns and the key take what is left of each budget."""
+
+    @pytest.mark.parametrize("session,budget_mib", [
+        (lambda: run_protocol(100_000, 0.25, seed=1), 1.5),
+        (lambda: run_protocol(
+            100_000, 0.25, AttackConfig.eve_probe(0.3), seed=1,
+            channel_cfg=ChannelConfig(loss_rate=0.2, dark_rate=0.01),
+        ), 1.8),
+        (_simulate_eve, 1.0),
+    ], ids=["protocol-honest", "protocol-eve-0.3-lossy", "simulate-eve"])
+    def test_session_peak_stays_within_budget(self, session, budget_mib):
+        assert _traced_peak(session) <= budget_mib * 2**20
 
 
 def _eager_replay(transcript):
