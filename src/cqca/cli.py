@@ -342,7 +342,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
         f"key_charlie_hex = {parties.key_to_hex(transcript.key_charlie)}",
         "key_round_ids = ",
     ]
-    key_ids = parties.joined_decimal(transcript.key_round_ids, b",")
+    key_ids = parties.joined_decimal(transcript.key_round_ids)
     _write(keys_path, ["\n".join(key_lines).encode(), *key_ids, b"\n"])
     print("\n".join(key_lines[:3]))
     print(f"keys_file = {keys_path}")

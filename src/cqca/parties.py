@@ -386,7 +386,7 @@ class Transcript:
     report: metrics.MeritReport
     key_bob: list[int]
     key_charlie: list[int]
-    key_round_ids: list[int]
+    key_round_ids: np.ndarray
     eve_records: EveGuesses
 
 
@@ -570,13 +570,12 @@ def run_protocol(
 
     key_bob: list[int] = []
     key_charlie: list[int] = []
-    key_round_ids: list[int] = []
+    key_round_ids = np.empty(0, dtype=np.intp)
     measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
-        key_ids = _key_positions(rounds)
-        key_rounds = rounds.take(key_ids)
-        rounds.sifted_bits[key_ids] = rounds.layout.sifted_bit.take(key_rounds.row_ids)
-        key_round_ids = key_ids.tolist()
+        key_round_ids = _key_positions(rounds)
+        key_rounds = rounds.take(key_round_ids)
+        rounds.sifted_bits[key_round_ids] = rounds.layout.sifted_bit.take(key_rounds.row_ids)
         key_bob, key_charlie = _station_keys(key_rounds)
         measured = ~rounds.sampled[probed]
     eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], seed)
@@ -628,17 +627,6 @@ def _fill(rows: np.ndarray, column: int, table: np.ndarray, keys: np.ndarray) ->
     rows[:, column : column + table.itemsize].view(table.dtype)[:, 0] = table.take(keys)
 
 
-def _pieces(length: int) -> list[tuple[int, int]]:
-    """A tail of ``length`` bytes cut into native widths, widest first:
-    each piece's (offset, width)."""
-    pieces, offset = [], 0
-    for width in (16, 8, 4, 2, 1):
-        while offset + width <= length:
-            pieces.append((offset, width))
-            offset += width
-    return pieces
-
-
 def _put_ids(rows: np.ndarray, ids: np.ndarray, digits: int) -> None:
     """Write each id, of ``digits`` decimal digits, at the start of its row,
     four digits at a time."""
@@ -670,75 +658,25 @@ def _changes(values: np.ndarray) -> list[int]:
     return (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
 
 
-def _line_chunks(
-    ids: np.ndarray | None,
-    n: int,
-    tails: Sequence[bytes],
-    kinds_of: Callable[[slice], np.ndarray],
-) -> Iterator[np.ndarray]:
-    """n lines, each an id in decimal followed by ``tails[kind]``, as
-    contiguous uint8 arrays of one line a row, from blocks of at most
-    ``_CHUNK_IDS`` lines.  ``ids`` holds the ids, or is None when they are
-    the positions 0 .. n - 1; ``kinds_of`` gives a block's kinds.
-
-    A block splits into runs of lines of one shape: digit count and tail
-    length.  Only the digits depend on where the ids come from: positions
-    change digit count at powers of ten alone and are written from slices
-    (``_put_positions``); other ids are measured and written line by line
-    (``_put_ids``).  A run's tails are takes from tables of their pieces of
-    native width.
-    """
-    lengths = np.array([len(tail) for tail in tails])
-    uneven = len(set(lengths.tolist())) > 1
-    if ids is None:
-        powers = [10**k for k in range(1, len(str(n)))]
-    elif n:
-        if ids.min() < 0:
-            raise ValueError("ids must be non-negative")
-        powers = 10 ** np.arange(1, len(str(int(ids.max()))), dtype=np.int64)
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for block in _blocks(n):
-        kind = kinds_of(block)
-        if ids is None:
-            cuts = [power - block.start for power in powers if block.start < power < block.stop]
-        else:
-            chunk = ids[block]
-            cuts = _changes(np.searchsorted(powers, chunk, side="right"))
-        if uneven:
-            cuts = sorted({*cuts, *_changes(lengths.take(kind))})
-        edges = [0, *cuts, len(kind)]
-        for lo, hi in zip(edges, edges[1:]):
-            first = block.start + lo if ids is None else int(chunk[lo])
-            digits, tail = len(str(first)), int(lengths[kind[lo]])
-            rows = np.empty((hi - lo, digits + tail), dtype=np.uint8)
-            if ids is None:
-                _put_positions(rows, first, digits)
-            else:
-                _put_ids(rows, chunk[lo:hi], digits)
-            for offset, width in _pieces(tail):
-                if (offset, width) not in tables:
-                    pieces = b"".join(t[offset : offset + width].ljust(width, b"\0") for t in tails)
-                    tables[offset, width] = np.frombuffer(pieces, dtype=f"V{width}")
-                _fill(rows, digits + offset, tables[offset, width], kind[lo:hi])
-            yield rows
-
-
-def _decimal_chunks(
-    ids: np.ndarray, tails: Sequence[bytes], kinds: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Each of the non-negative ``ids`` in decimal followed by
-    ``tails[kind]``, as in ``_line_chunks``."""
-    return _line_chunks(ids, len(ids), tails, kinds.__getitem__)
-
-
-def _transcript_tails(cells: Sequence[Cell]) -> list[bytes]:
-    """A transcript line after its round id, newline included: four kinds
-    per cell, unsampled, sampled, or a key round carrying bit 0 or 1."""
-    return [
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _transcript_tails(cells: tuple[Cell, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """A transcript line after its round id, newline included, of four kinds
+    per cell: unsampled, sampled, or a key round carrying bit 0 or 1.  Every
+    field is one character, so every tail has one length; it is cut into
+    pieces of native width, widest first, each given as its offset and a
+    read-only table of that piece by kind."""
+    tails = [
         (round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0") + "\n").encode()
         for cell in cells
         for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
     ]
+    pieces, offset = [], 0
+    for width in (16, 8, 4, 2, 1):
+        while offset + width <= len(tails[0]):
+            table = np.frombuffer(b"".join(t[offset : offset + width] for t in tails), f"V{width}")
+            pieces.append((offset, table))
+            offset += width
+    return tuple(pieces)
 
 
 def _line_kinds(rounds: RoundTable, block: slice) -> np.ndarray:
@@ -751,13 +689,33 @@ def _line_kinds(rounds: RoundTable, block: slice) -> np.ndarray:
 
 
 def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
-    """``round_to_line`` of every round plus a newline, as uint8 chunks."""
-    return _line_chunks(
-        rounds.ids,
-        len(rounds),
-        _transcript_tails(rounds.cells),
-        functools.partial(_line_kinds, rounds),
-    )
+    """``round_to_line`` of every round of a run's own table plus a newline,
+    as uint8 arrays of one line a row, from blocks of at most ``_CHUNK_IDS``
+    lines.
+
+    The ids are the positions, so a block splits into runs of one digit
+    count at powers of ten alone; a run's digits are written from slices
+    (``_put_positions``) and its tails are takes from the tables of their
+    pieces.  A table with explicit ids raises ``ValueError``.
+    """
+    if rounds.ids is not None:
+        raise ValueError(
+            "a transcript is written from a run's own table, whose ids are its positions"
+        )
+    tails = _transcript_tails(rounds.cells)
+    length = sum(table.itemsize for _, table in tails)
+    n = len(rounds)
+    powers = [10**k for k in range(1, len(str(n)))]
+    for block in _blocks(n):
+        kinds = _line_kinds(rounds, block)
+        edges = [block.start, *(p for p in powers if block.start < p < block.stop), block.stop]
+        for lo, hi in zip(edges, edges[1:]):
+            digits = len(str(lo))
+            rows = np.empty((hi - lo, digits + length), dtype=np.uint8)
+            _put_positions(rows, lo, digits)
+            for offset, table in tails:
+                _fill(rows, digits + offset, table, kinds[lo - block.start : hi - block.start])
+            yield rows
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:
@@ -765,12 +723,25 @@ def transcript_lines(transcript: Transcript) -> list[str]:
     return b"".join(transcript_chunks(transcript.rounds)).decode("ascii").splitlines()
 
 
-def joined_decimal(ids: Sequence[int], separator: bytes) -> Iterator[np.ndarray]:
-    """``separator.join`` of the ids in decimal, as uint8 chunks."""
-    ids = np.asarray(ids, dtype=np.int64)
-    last = np.zeros(len(ids), dtype=np.intp)
-    last[-1:] = 1
-    return _decimal_chunks(ids, (separator, b""), last)
+#: 10**1 .. 10**18: an int64's digit count is one plus the powers it reaches.
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def joined_decimal(ids: np.ndarray) -> Iterator[np.ndarray]:
+    """``",".join`` of the non-negative int64 ids in decimal, as uint8
+    chunks.  Each block of at most ``_CHUNK_IDS`` ids splits into runs of
+    one digit count, in any id order; each id is written with a trailing
+    comma, and the final chunk drops the last one."""
+    for block in _blocks(len(ids)):
+        chunk = ids[block]
+        classes = np.searchsorted(_POWERS, chunk, side="right")
+        edges = [0, *_changes(classes), len(chunk)]
+        for lo, hi in zip(edges, edges[1:]):
+            digits = int(classes[lo]) + 1
+            rows = np.empty((hi - lo, digits + 1), dtype=np.uint8)
+            _put_ids(rows, chunk[lo:hi], digits)
+            rows[:, digits] = ord(",")
+            yield rows.ravel()[: -1 if block.start + hi == len(ids) else None]
 
 
 def key_to_hex(bits: list[int]) -> str:

@@ -18,7 +18,6 @@ from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
 from cqca.parties import (
     _CHUNK_IDS,
-    _decimal_chunks,
     _EVE,
     _ROUNDS,
     _SAMPLER,
@@ -322,13 +321,13 @@ class TestProtocolSession:
             )
 
         def snapshot(t):
-            keys = (t.key_bob, t.key_charlie, t.key_round_ids)
+            keys = (t.key_bob, t.key_charlie, t.key_round_ids.tolist())
             data = [c.tobytes() for c in columns(t)]
             return str(t.verdict), repr(t.report), keys, t.rounds.cells, data
 
         before = snapshot(session(5))
         scribbled = session(6)
-        for column in columns(scribbled):
+        for column in (*columns(scribbled), scribbled.key_round_ids):
             column[:] = 1
         scribbled.report.counts.clear()
         assert snapshot(session(5)) == before
@@ -492,15 +491,6 @@ class TestTranscriptBytes:
         assert transcript.verdict.key_produced == keyed
         assert _written(transcript.rounds) == _line_bytes(transcript.rounds)
 
-    def test_taken_rounds_keep_their_ids(self, honest):
-        every_third = np.arange(0, 20_000, 3)
-        positions = np.concatenate(
-            [every_third[::-1], np.flatnonzero(honest.rounds.sampled), every_third]
-        )
-        taken = honest.rounds.take(positions)
-        assert len(taken) > _CHUNK_IDS
-        assert _written(taken) == _line_bytes(taken)
-
     # every digit count from one to six on both sides of its power of ten,
     # the multiples of 10**4 and the block size -1, exact and +1
     @pytest.mark.parametrize("n", [
@@ -516,10 +506,7 @@ class TestTranscriptBytes:
         rows = rng.integers(0, len(layout.cells), n).astype(np.int16)
         table = RoundTable(rows, layout, sampled, bits)
         np.testing.assert_array_equal(table.round_ids, np.arange(n))
-        tails = parties._transcript_tails(layout.cells)
-        kinds = parties._line_kinds(table, slice(None))
-        explicit = b"".join(bytes(c) for c in _decimal_chunks(np.arange(n), tails, kinds))
-        assert _written(table) == explicit == _line_bytes(table)
+        assert _written(table) == _line_bytes(table)
 
     def test_taken_ids_are_a_copy_of_the_positions(self, honest):
         positions = np.array([5, 3, 19_999])
@@ -527,25 +514,11 @@ class TestTranscriptBytes:
         positions[:] = 0
         assert taken.round_ids.tolist() == [5, 3, 19_999]
 
-    def test_record_ids_across_digit_counts(self):
-        records = [
-            _record(0, Action.A, Action.F, Outcome.D1),
-            _record(9, Action.F, Action.F, Outcome.D2, sampled=True),
-            _record(10, Action.F, Action.A, Outcome.D1),
-            _record(99_999, Action.A, Action.A, Outcome.NULL),
-            _record(123_456_789, Action.A, Action.F, Outcome.D1),
-        ]
-        records[0].sifted_bit, records[2].sifted_bit = 0, 1
-        table = RoundTable.from_records(records)
-        assert _written(table) == _line_bytes(records)
-        assert _written(table.take(np.array([4, 0, 3]))) == _line_bytes(
-            [records[4], records[0], records[3]]
-        )
-
-    def test_negative_id_rejected(self):
-        table = RoundTable.from_records([_record(-1, Action.A, Action.F, Outcome.D1)])
-        with pytest.raises(ValueError):
-            list(transcript_chunks(table))
+    def test_tables_with_explicit_ids_are_refused(self, honest):
+        recorded = RoundTable.from_records([_record(0, Action.A, Action.F, Outcome.D1)])
+        for table in (honest.rounds.take(np.arange(3)), recorded):
+            with pytest.raises(ValueError, match="positions"):
+                list(transcript_chunks(table))
 
     @pytest.mark.parametrize(
         "ids",
@@ -559,7 +532,8 @@ class TestTranscriptBytes:
         ids=["empty", "zero", "two", "digit-counts", "chunk-plus-one"],
     )
     def test_key_round_ids_join_with_commas(self, ids):
-        joined = b"".join(bytes(chunk) for chunk in joined_decimal(ids, b","))
+        chunks = joined_decimal(np.array(ids, dtype=np.int64))
+        joined = b"".join(bytes(chunk) for chunk in chunks)
         assert joined == ",".join(map(str, ids)).encode()
 
     @settings(max_examples=300, deadline=None)
@@ -573,24 +547,18 @@ class TestTranscriptBytes:
             max_size=40,
         ),
         order=st.sampled_from(["ascending", "descending", "shuffled"]),
-        tails=st.lists(st.binary(max_size=6), min_size=1, max_size=4),
         chunk_ids=st.integers(1, 6),
         data=st.data(),
     )
-    def test_formatter_equals_python_decimal(self, ids, order, tails, chunk_ids, data):
+    def test_formatter_equals_python_decimal(self, ids, order, chunk_ids, data):
         if order == "shuffled":
             ids = data.draw(st.permutations(ids))
         else:
             ids = sorted(ids, reverse=order == "descending")
-        kind = st.integers(0, len(tails) - 1)
-        kinds = data.draw(st.lists(kind, min_size=len(ids), max_size=len(ids)))
         with mock.patch.object(parties, "_CHUNK_IDS", chunk_ids):
-            chunks = list(_decimal_chunks(np.array(ids, dtype=np.int64), tails, np.array(kinds)))
-            joined = b"".join(bytes(chunk) for chunk in joined_decimal(ids, tails[0]))
-        assert all(chunk.flags.c_contiguous and len(chunk) <= chunk_ids for chunk in chunks)
-        lines = b"".join(str(i).encode() + tails[k] for i, k in zip(ids, kinds))
-        assert b"".join(bytes(chunk) for chunk in chunks) == lines
-        assert joined == tails[0].join(str(i).encode() for i in ids)
+            chunks = list(joined_decimal(np.array(ids, dtype=np.int64)))
+        assert all(c.flags.c_contiguous and bytes(c).count(b",") <= chunk_ids for c in chunks)
+        assert b"".join(bytes(chunk) for chunk in chunks) == ",".join(map(str, ids)).encode()
 
 
 def _traced_peak(session) -> int:
