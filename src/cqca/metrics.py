@@ -37,7 +37,7 @@ from .law import _LAW_CACHE_SIZE, Cell, outcome_table
 from .photonics import Action, Outcome
 
 if TYPE_CHECKING:
-    from .parties import RoundTable  # parties imports this module
+    from .parties import RoundTable, RowCounts  # parties imports this module
 
 #: Raw-key error rate e* at which the key rate crosses zero; the abort rule
 #: enforces this ceiling on the measured error rate and on the error rate
@@ -201,14 +201,17 @@ def expected_multi_rate(dark_rate: float, loss_rate: float = 0.0) -> float:
     return (p_ff + 2.0 * p_anti + p_aa) / 4.0
 
 
-def _sample_tallies(rounds: RoundTable) -> dict[str, int]:
+def _sample_tallies(rounds: RoundTable | RowCounts) -> dict[str, int]:
     return dict(zip(TALLIES, (rounds.layout.tallies @ rounds.row_counts()).tolist()))
 
 
-def compute_merit_report(disclosed: RoundTable, all_rounds: RoundTable, n: int) -> MeritReport:
+def compute_merit_report(
+    disclosed: RoundTable | RowCounts, all_rounds: RoundTable | RowCounts, n: int
+) -> MeritReport:
     """Estimate every figure of merit from a disclosed sample plus the full
-    announcement stream: one count over each one's row ids, times its cell
-    layout's tally matrix."""
+    announcement stream: each one's count per row, times its cell layout's
+    tally matrix.  Each may be a table of rounds or ``parties.RowCounts``;
+    only their layout and ``row_counts()`` are read."""
     tallies = _sample_tallies(disclosed)
     if all_rounds is not disclosed:
         stream = _sample_tallies(all_rounds)

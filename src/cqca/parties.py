@@ -316,6 +316,18 @@ class RoundTable:
         return counts
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class RowCounts:
+    """A sample known only by its number of rounds on each row of
+    ``layout``, which is all ``metrics.compute_merit_report`` reads of it."""
+
+    layout: CellLayout
+    counts: np.ndarray
+
+    def row_counts(self) -> np.ndarray:
+        return self.counts
+
+
 _SAMPLE_IDS_PER_PACKET = 8000
 
 
@@ -384,8 +396,8 @@ class Transcript:
     packets: PacketStream
     verdict: metrics.Verdict
     report: metrics.MeritReport
-    key_bob: list[int]
-    key_charlie: list[int]
+    key_bob: bytes
+    key_charlie: bytes
     key_round_ids: np.ndarray
     eve_records: EveGuesses
 
@@ -406,21 +418,36 @@ def _key_positions(rounds: RoundTable) -> np.ndarray:
     return np.flatnonzero(keyed)
 
 
-def _station_keys(key_rounds: RoundTable) -> tuple[list[int], list[int]]:
-    """Bob's and Charlie's bit on each of the given key rounds."""
-    layout, rows = key_rounds.layout, key_rounds.row_ids
-    return layout.bit_b.take(rows).tolist(), layout.bit_c.take(rows).tolist()
+def _station_keys(layout: CellLayout, key_rows: np.ndarray) -> tuple[bytes, bytes]:
+    """Bob's and Charlie's bit on each key round, given by its row, as one
+    byte of 0 or 1 per bit."""
+    return layout.bit_b.take(key_rows).tobytes(), layout.bit_c.take(key_rows).tobytes()
 
 
-def sift_key(rounds: RoundTable) -> tuple[list[int], list[int]]:
-    """Each station's key from its local view only.
+def sift_key(rounds: RoundTable) -> tuple[bytes, bytes]:
+    """Each station's key from its local view only, one byte of 0 or 1 per
+    bit.
 
     A station keeps every unsampled D1 round and maps its own setting
     through the convention (Bob: A -> 0, F -> 1; Charlie: F -> 0, A -> 1).
     Rounds whose settings were secretly correlated yield mismatched bits,
     surfacing as key errors rather than being discarded.
     """
-    return _station_keys(rounds.take(_key_positions(rounds)))
+    return _station_keys(rounds.layout, rounds.row_ids.take(_key_positions(rounds)))
+
+
+def _session_counts(rounds: RoundTable) -> tuple[RowCounts, RowCounts]:
+    """The disclosed sample's and the whole stream's rounds on each row, from
+    one pass over a run's table: each round counts once, under the code
+    2 * row + sampled."""
+    cells = len(rounds.cells)
+    counts = np.zeros(2 * cells, dtype=np.intp)
+    for block in _blocks(len(rounds)):
+        code = rounds.row_ids[block].astype(np.intp) << 1
+        code |= rounds.sampled[block]
+        counts += np.bincount(code, minlength=2 * cells)
+    by_row = counts.reshape(cells, 2)
+    return RowCounts(rounds.layout, by_row[:, 1]), RowCounts(rounds.layout, by_row.sum(axis=1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -494,15 +521,18 @@ def _draw_rounds(
     the joint law of its settings, source-attack flag and outcome
     (``_select_rows``), so its row carries all three.  The draws come a
     block at a time, in stream order.  Returns the round table, the ids of
-    the rounds that carry Eve's probe, and her P(guess 1) on each of them.
+    the rounds that carry Eve's probe, and her P(guess 1) on each of them;
+    a plan with no probed row makes no probe pass.
     """
     plan = _sampling_plan(attack, channel_cfg)
+    probing = plan.probe.any()
     random_raw = _stream(seed, _ROUNDS).bit_generator.random_raw
     rows = np.empty(n, dtype=np.int16)
-    probed_blocks = []
+    probed_blocks = [np.empty(0, dtype=np.intp)]
     for block in _blocks(n):
         rows[block] = _select_rows(plan, random_raw(block.stop - block.start))
-        probed_blocks.append(np.flatnonzero(plan.probe.take(rows[block])) + block.start)
+        if probing:
+            probed_blocks.append(np.flatnonzero(plan.probe.take(rows[block])) + block.start)
     probed = np.concatenate(probed_blocks)
     rounds = RoundTable(rows, plan.layout, np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8))
     return rounds, probed, plan.p_one.take(rows.take(probed))
@@ -564,19 +594,17 @@ def run_protocol(
     rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
     sampler = _stream(seed, _SAMPLER)
     rounds.sampled[sampler.choice(n, int(n * f), replace=False, shuffle=False)] = True
-    sampled_ids = np.flatnonzero(rounds.sampled)
-    report = metrics.compute_merit_report(rounds.take(sampled_ids), rounds, n)
+    report = metrics.compute_merit_report(*_session_counts(rounds), n)
     verdict = metrics.abort_decision(report, channel_cfg)
 
-    key_bob: list[int] = []
-    key_charlie: list[int] = []
+    key_bob = key_charlie = b""
     key_round_ids = np.empty(0, dtype=np.intp)
     measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
         key_round_ids = _key_positions(rounds)
-        key_rounds = rounds.take(key_round_ids)
-        rounds.sifted_bits[key_round_ids] = rounds.layout.sifted_bit.take(key_rounds.row_ids)
-        key_bob, key_charlie = _station_keys(key_rounds)
+        key_rows = rounds.row_ids.take(key_round_ids)
+        rounds.sifted_bits[key_round_ids] = rounds.layout.sifted_bit.take(key_rows)
+        key_bob, key_charlie = _station_keys(rounds.layout, key_rows)
         measured = ~rounds.sampled[probed]
     eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], seed)
     return Transcript(
@@ -659,24 +687,17 @@ def _changes(values: np.ndarray) -> list[int]:
 
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
-def _transcript_tails(cells: tuple[Cell, ...]) -> tuple[tuple[int, np.ndarray], ...]:
-    """A transcript line after its round id, newline included, of four kinds
-    per cell: unsampled, sampled, or a key round carrying bit 0 or 1.  Every
-    field is one character, so every tail has one length; it is cut into
-    pieces of native width, widest first, each given as its offset and a
-    read-only table of that piece by kind."""
+def _transcript_tails(cells: tuple[Cell, ...]) -> np.ndarray:
+    """A transcript line after its round id, newline excluded, of four kinds
+    per cell: unsampled, sampled, or a key round carrying bit 0 or 1, as a
+    read-only table by kind.  Every field is one character, so every tail
+    has one length: 16 bytes, a native width to gather."""
     tails = [
-        (round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0") + "\n").encode()
+        round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0").encode()
         for cell in cells
         for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
     ]
-    pieces, offset = [], 0
-    for width in (16, 8, 4, 2, 1):
-        while offset + width <= len(tails[0]):
-            table = np.frombuffer(b"".join(t[offset : offset + width] for t in tails), f"V{width}")
-            pieces.append((offset, table))
-            offset += width
-    return tuple(pieces)
+    return np.frombuffer(b"".join(tails), f"V{len(tails[0])}")
 
 
 def _line_kinds(rounds: RoundTable, block: slice) -> np.ndarray:
@@ -695,15 +716,16 @@ def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
 
     The ids are the positions, so a block splits into runs of one digit
     count at powers of ten alone; a run's digits are written from slices
-    (``_put_positions``) and its tails are takes from the tables of their
-    pieces.  A table with explicit ids raises ``ValueError``.
+    (``_put_positions``), its tails are one take from the table of tails,
+    and its newlines are one constant column.  A table with explicit
+    ids raises ``ValueError``.
     """
     if rounds.ids is not None:
         raise ValueError(
             "a transcript is written from a run's own table, whose ids are its positions"
         )
     tails = _transcript_tails(rounds.cells)
-    length = sum(table.itemsize for _, table in tails)
+    length = tails.itemsize + 1
     n = len(rounds)
     powers = [10**k for k in range(1, len(str(n)))]
     for block in _blocks(n):
@@ -713,8 +735,8 @@ def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
             digits = len(str(lo))
             rows = np.empty((hi - lo, digits + length), dtype=np.uint8)
             _put_positions(rows, lo, digits)
-            for offset, table in tails:
-                _fill(rows, digits + offset, table, kinds[lo - block.start : hi - block.start])
+            _fill(rows, digits, tails, kinds[lo - block.start : hi - block.start])
+            rows[:, -1] = ord("\n")
             yield rows
 
 
@@ -730,11 +752,14 @@ _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
 def joined_decimal(ids: np.ndarray) -> Iterator[np.ndarray]:
     """``",".join`` of the non-negative int64 ids in decimal, as uint8
     chunks.  Each block of at most ``_CHUNK_IDS`` ids splits into runs of
-    one digit count, in any id order; each id is written with a trailing
-    comma, and the final chunk drops the last one."""
+    one digit count, in any id order, found by comparing the block with
+    each power of ten up to its largest id; each id is written with a
+    trailing comma, and the final chunk drops the last one."""
     for block in _blocks(len(ids)):
         chunk = ids[block]
-        classes = np.searchsorted(_POWERS, chunk, side="right")
+        classes = np.zeros(len(chunk), dtype=np.int8)
+        for power in _POWERS[: len(str(chunk.max())) - 1]:
+            classes += chunk >= power
         edges = [0, *_changes(classes), len(chunk)]
         for lo, hi in zip(edges, edges[1:]):
             digits = int(classes[lo]) + 1
@@ -744,6 +769,7 @@ def joined_decimal(ids: np.ndarray) -> Iterator[np.ndarray]:
             yield rows.ravel()[: -1 if block.start + hi == len(ids) else None]
 
 
-def key_to_hex(bits: list[int]) -> str:
-    """Bits packed most-significant first, zero-padded to whole octets."""
+def key_to_hex(bits: bytes | Sequence[int]) -> str:
+    """Bits, as ``bytes`` or ints of 0 or 1, packed most-significant first,
+    zero-padded to whole octets."""
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_shot_draw
+from conftest import load_workloads, one_shot_draw
 from cqca import adversary, metrics, parties
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
@@ -172,7 +172,8 @@ def _record(rid, sb, sc, outcome, sampled=False):
 
 
 def _sift(records):
-    return sift_key(RoundTable.from_records(records))
+    key_bob, key_charlie = sift_key(RoundTable.from_records(records))
+    return list(key_bob), list(key_charlie)
 
 
 class TestSifting:
@@ -212,7 +213,8 @@ class TestKeyHex:
     def test_session_keys_pack_like_the_array_cast(self, honest):
         for key in (honest.key_bob, honest.key_charlie):
             assert len(key) > 1000
-            assert key_to_hex(key) == np.packbits(np.asarray(key, dtype=np.uint8)).tobytes().hex()
+            assert key_to_hex(key) == np.packbits(np.frombuffer(key, np.uint8)).tobytes().hex()
+            assert key_to_hex(list(key)) == key_to_hex(key)
 
 
 @pytest.fixture(scope="module")
@@ -260,8 +262,8 @@ class TestProtocolSession:
             for sc, outcome, sampled in charlie_view
             if outcome is Outcome.D1 and not sampled
         ]
-        assert bob_key == honest.key_bob
-        assert charlie_key == honest.key_charlie
+        assert bob_key == list(honest.key_bob)
+        assert charlie_key == list(honest.key_charlie)
 
     def test_announcements_precede_disclosures(self, honest):
         announced = set()
@@ -338,7 +340,31 @@ class TestProtocolSession:
         )
         assert not transcript.verdict.key_produced
         assert "coincidence" in transcript.verdict.abort_reasons
-        assert transcript.key_bob == [] and transcript.key_charlie == []
+        assert list(transcript.key_bob) == [] and list(transcript.key_charlie) == []
+
+    def test_counted_report_is_the_table_report(self):
+        # the session's one count of row-and-sample codes reports as the
+        # disclosed rounds' table beside the whole stream's, across blocks
+        workloads = load_workloads()
+
+        def report(disclosed, stream, n):
+            try:
+                return metrics.compute_merit_report(disclosed, stream, n)
+            except metrics.InsufficientSample as exc:
+                return f"InsufficientSample({exc})"
+
+        f = 0.25
+        for n in (5_000, _CHUNK_IDS - 1, _CHUNK_IDS + 1, 3 * _CHUNK_IDS + 7):
+            for point in (*workloads.SCAN, *workloads.DEFECT_SCAN):
+                for seed in range(1, 21):
+                    rounds, _, _ = parties._draw_rounds(n, point.attack, point.channel, seed)
+                    sampler = parties._stream(seed, _SAMPLER)
+                    rounds.sampled[sampler.choice(n, int(n * f), replace=False)] = True
+                    disclosed, stream = parties._session_counts(rounds)
+                    assert disclosed.row_counts().sum() == int(n * f)
+                    assert stream.row_counts().sum() == n
+                    table = rounds.take(np.flatnonzero(rounds.sampled))
+                    assert report(disclosed, stream, n) == report(table, rounds, n), (n, point, seed)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
