@@ -13,12 +13,13 @@ joint CDF over its rows.  Each round is one 64-bit draw from the session's
 round stream looked up on that CDF, so its settings, source-attack flag
 and outcome come together.
 A run holds its rounds as columns (``RoundTable``): each round's row of
-that law's ``CellLayout``, its sampled flag and its sifted bit; a round's
-id is its position until ``take`` picks rounds out.  Eve's guesses are
-columns too (``adversary.EveGuesses``).  The packet log is derived from the
-columns when it is read (``PacketStream``).  Every pass over the rounds
-works a block of ``_CHUNK_IDS`` of them at a time, so a session's working
-set is its columns plus one block.
+that law's ``CellLayout`` and its sampled flag.  A round's id is its
+position, and its sifted bit follows from its row, its flag and whether
+the session released keys.  Eve's guesses are columns too
+(``adversary.EveGuesses``).  The packet log is derived from the columns
+when it is read (``PacketStream``).  Every pass over the rounds works a
+block of ``_CHUNK_IDS`` of them at a time, so a session's working set is
+its columns plus one block.
 
 Every public announcement covers every round (including NULL outcomes);
 disclosure of settings and station read-outs happens only for the jointly
@@ -33,7 +34,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -242,70 +243,52 @@ class CellLayout:
         )
 
 
+def _round_kinds(cells: Sequence[Cell], keyed: bool) -> list[tuple]:
+    """A ``RoundRecord``'s fields after its id for each code 2 * row +
+    sampled: the row's cell, the flag, and the sifted bit, which only an
+    unsampled D1 round of a keyed session carries, and only on
+    anti-correlated settings."""
+    kinds = []
+    for cell in cells:
+        bit = canonical_sifted_bit(*cell) if keyed and cell[2] is Outcome.D1 else -1
+        kinds += [(*cell, False, None if bit < 0 else bit), (*cell, True, None)]
+    return kinds
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class RoundTable:
-    """A run's rounds as columns.
+    """A run's rounds as columns; a round's id is its position.
 
     ``row_ids`` gives each round's row in ``layout``, the few contingency
-    cells the run can produce; the other columns hold each round's sampled
-    flag and its sifted bit (-1 for none).  ``ids`` holds each round's id,
-    or is None when the ids are the positions, as in a run's own table;
-    ``round_ids`` reads them either way.  Iterating yields one
-    ``RoundRecord`` per round.
+    cells the run can produce, and ``sampled`` its sampled flag.  ``keyed``
+    marks a session that released keys: there each unsampled D1 round
+    carries its row's ``layout.sifted_bit``, none where that is -1
+    (correlated settings).  Iterating yields one ``RoundRecord`` per round.
     """
 
     row_ids: np.ndarray
     layout: CellLayout
     sampled: np.ndarray
-    sifted_bits: np.ndarray
-    ids: np.ndarray | None = None
+    keyed: bool = False
 
     @property
     def cells(self) -> tuple[Cell, ...]:
         return self.layout.cells
 
-    @property
-    def round_ids(self) -> np.ndarray:
-        return np.arange(len(self)) if self.ids is None else self.ids
-
-    @classmethod
-    def from_records(cls, records: Iterable[RoundRecord]) -> RoundTable:
-        index: dict[Cell, int] = {}
-        rows, ids, sampled, bits = [], [], [], []
-        for r in records:
-            cell = (r.setting_b, r.setting_c, r.outcome_alice, r.click_b, r.click_c, r.multi_count)
-            rows.append(index.setdefault(cell, len(index)))
-            ids.append(r.round_id)
-            sampled.append(r.sampled)
-            bits.append(-1 if r.sifted_bit is None else r.sifted_bit)
-        return cls(
-            np.array(rows, dtype=np.int16),
-            CellLayout.of(tuple(index)),
-            np.array(sampled, dtype=bool),
-            np.array(bits, dtype=np.int8),
-            np.array(ids, dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return len(self.row_ids)
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        cells = self.cells
-        columns = (self.round_ids, self.row_ids, self.sampled, self.sifted_bits)
-        for round_id, row, sampled, bit in zip(*(c.tolist() for c in columns)):
-            yield RoundRecord(round_id, *cells[row], sampled, None if bit < 0 else bit)
+        kinds = _round_kinds(self.cells, self.keyed)
+        for round_id, code in enumerate(self.codes(slice(None)).tolist()):
+            yield RoundRecord(round_id, *kinds[code])
 
-    def take(self, positions: np.ndarray) -> RoundTable:
-        """The rounds at the given positions, keeping their ids: in a table
-        whose ids are its positions, a copy of ``positions``."""
-        ids = np.array(positions, dtype=np.int64) if self.ids is None else self.ids[positions]
-        return RoundTable(
-            self.row_ids[positions],
-            self.layout,
-            self.sampled[positions],
-            self.sifted_bits[positions],
-            ids,
-        )
+    def codes(self, block: slice) -> np.ndarray:
+        """Each round's code 2 * row + sampled over a block, int16 like the
+        row ids: at most 2 * cells - 1."""
+        codes = self.row_ids[block] << 1
+        codes |= self.sampled[block]
+        return codes
 
     def row_counts(self) -> np.ndarray:
         """The number of rounds on each row of the layout, counted a block
@@ -363,26 +346,25 @@ class PacketStream:
         yield packet(0, alice, charlie, control, control_body(ControlOp.ACK))
         yield packet(0, alice, bob, control, control_body(ControlOp.INTIMATE))
         yield packet(0, bob, alice, control, control_body(ControlOp.CONSENT))
-        rows = zip(rounds.round_ids.tolist(), rounds.row_ids.tolist())
-        for k, (round_id, row) in enumerate(rows):
+        for round_id, row in enumerate(rounds.row_ids.tolist()):
             _, _, outcome, _, _, multi_count = cells[row]
             slot = quantum_slot_body(round_id)
             announcement = announce_body(round_id, outcome, multi_count)
             for number, kind, body in (
-                (1 + 2 * k, BodyType.QUANTUM_SLOT, slot),
-                (2 + 2 * k, BodyType.ANNOUNCE, announcement),
+                (1 + 2 * round_id, BodyType.QUANTUM_SLOT, slot),
+                (2 + 2 * round_id, BodyType.ANNOUNCE, announcement),
             ):
                 yield packet(number, alice, bob, kind, body)
                 yield packet(number, alice, charlie, kind, body)
 
-        sampled = rounds.take(np.flatnonzero(rounds.sampled))
+        sampled = np.flatnonzero(rounds.sampled)
         chunks = range(0, len(sampled), _SAMPLE_IDS_PER_PACKET)
         for number, start in enumerate(chunks):
-            ids = sampled.round_ids[start : start + _SAMPLE_IDS_PER_PACKET]
+            ids = sampled[start : start + _SAMPLE_IDS_PER_PACKET]
             body = control_body(ControlOp.SAMPLE, ids.astype(">u8").tobytes())
             yield packet(number, bob, charlie, control, body)
         yield packet(0, charlie, bob, control, control_body(ControlOp.SAMPLE_OK))
-        rows = zip(sampled.round_ids.tolist(), sampled.row_ids.tolist())
+        rows = zip(sampled.tolist(), rounds.row_ids[sampled].tolist())
         for j, (round_id, row) in enumerate(rows):
             setting_b, setting_c, _, click_b, click_c, _ = cells[row]
             body_b = disclose_body(round_id, setting_b, click_b)
@@ -443,9 +425,7 @@ def _session_counts(rounds: RoundTable) -> tuple[RowCounts, RowCounts]:
     cells = len(rounds.cells)
     counts = np.zeros(2 * cells, dtype=np.intp)
     for block in _blocks(len(rounds)):
-        code = rounds.row_ids[block].astype(np.intp) << 1
-        code |= rounds.sampled[block]
-        counts += np.bincount(code, minlength=2 * cells)
+        counts += np.bincount(rounds.codes(block), minlength=2 * cells)
     by_row = counts.reshape(cells, 2)
     return RowCounts(rounds.layout, by_row[:, 1]), RowCounts(rounds.layout, by_row.sum(axis=1))
 
@@ -534,7 +514,7 @@ def _draw_rounds(
         if probing:
             probed_blocks.append(np.flatnonzero(plan.probe.take(rows[block])) + block.start)
     probed = np.concatenate(probed_blocks)
-    rounds = RoundTable(rows, plan.layout, np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8))
+    rounds = RoundTable(rows, plan.layout, np.zeros(n, dtype=bool))
     return rounds, probed, plan.p_one.take(rows.take(probed))
 
 
@@ -602,10 +582,9 @@ def run_protocol(
     measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
         key_round_ids = _key_positions(rounds)
-        key_rows = rounds.row_ids.take(key_round_ids)
-        rounds.sifted_bits[key_round_ids] = rounds.layout.sifted_bit.take(key_rows)
-        key_bob, key_charlie = _station_keys(rounds.layout, key_rows)
+        key_bob, key_charlie = _station_keys(rounds.layout, rounds.row_ids.take(key_round_ids))
         measured = ~rounds.sampled[probed]
+        rounds = RoundTable(rounds.row_ids, rounds.layout, rounds.sampled, keyed=True)
     eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], seed)
     return Transcript(
         rounds=rounds,
@@ -687,55 +666,39 @@ def _changes(values: np.ndarray) -> list[int]:
 
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
-def _transcript_tails(cells: tuple[Cell, ...]) -> np.ndarray:
-    """A transcript line after its round id, newline excluded, of four kinds
-    per cell: unsampled, sampled, or a key round carrying bit 0 or 1, as a
-    read-only table by kind.  Every field is one character, so every tail
-    has one length: 16 bytes, a native width to gather."""
+def _transcript_tails(cells: tuple[Cell, ...], keyed: bool) -> np.ndarray:
+    """A transcript line after its round id, newline excluded, for each code
+    2 * row + sampled (``RoundTable.codes``), as a read-only table by code.
+    Every field is one character, so every tail has one length: 16 bytes, a
+    native width to gather."""
     tails = [
-        round_to_line(RoundRecord(0, *cell, sampled, bit)).removeprefix("0").encode()
-        for cell in cells
-        for sampled, bit in ((False, None), (True, None), (False, 0), (False, 1))
+        round_to_line(RoundRecord(0, *kind)).removeprefix("0").encode()
+        for kind in _round_kinds(cells, keyed)
     ]
     return np.frombuffer(b"".join(tails), f"V{len(tails[0])}")
 
 
-def _line_kinds(rounds: RoundTable, block: slice) -> np.ndarray:
-    """Each round's kind of ``_transcript_tails`` line, over a block."""
-    bits = rounds.sifted_bits[block]
-    keyed = bits >= 0
-    kinds = rounds.row_ids[block] << 2  # int16 like the row ids: at most 4 * cells - 1
-    kinds += keyed * (2 + bits) | rounds.sampled[block] & ~keyed
-    return kinds
-
-
 def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
-    """``round_to_line`` of every round of a run's own table plus a newline,
-    as uint8 arrays of one line a row, from blocks of at most ``_CHUNK_IDS``
-    lines.
+    """``round_to_line`` of every round plus a newline, as uint8 arrays of
+    one line a row, from blocks of at most ``_CHUNK_IDS`` lines.
 
     The ids are the positions, so a block splits into runs of one digit
     count at powers of ten alone; a run's digits are written from slices
     (``_put_positions``), its tails are one take from the table of tails,
-    and its newlines are one constant column.  A table with explicit
-    ids raises ``ValueError``.
+    and its newlines are one constant column.
     """
-    if rounds.ids is not None:
-        raise ValueError(
-            "a transcript is written from a run's own table, whose ids are its positions"
-        )
-    tails = _transcript_tails(rounds.cells)
+    tails = _transcript_tails(rounds.cells, rounds.keyed)
     length = tails.itemsize + 1
     n = len(rounds)
     powers = [10**k for k in range(1, len(str(n)))]
     for block in _blocks(n):
-        kinds = _line_kinds(rounds, block)
+        codes = rounds.codes(block)
         edges = [block.start, *(p for p in powers if block.start < p < block.stop), block.stop]
         for lo, hi in zip(edges, edges[1:]):
             digits = len(str(lo))
             rows = np.empty((hi - lo, digits + length), dtype=np.uint8)
             _put_positions(rows, lo, digits)
-            _fill(rows, digits, tails, kinds[lo - block.start : hi - block.start])
+            _fill(rows, digits, tails, codes[lo - block.start : hi - block.start])
             rows[:, -1] = ord("\n")
             yield rows
 

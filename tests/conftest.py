@@ -105,6 +105,27 @@ def tabulate(rounds) -> Counter:
     )
 
 
+def table_from_records(records, keyed: bool = False):
+    """A ``RoundTable`` of the records in order, from each one's cell and
+    sampled flag alone: a round's id is its position, and its sifted bit
+    follows from ``keyed``.  The layout holds the cells in order of first
+    appearance."""
+    from cqca.parties import CellLayout, RoundTable
+
+    index: dict = {}
+    rows, sampled = [], []
+    for r in records:
+        cell = (r.setting_b, r.setting_c, r.outcome_alice, r.click_b, r.click_c, r.multi_count)
+        rows.append(index.setdefault(cell, len(index)))
+        sampled.append(r.sampled)
+    return RoundTable(
+        np.array(rows, dtype=np.int16),
+        CellLayout.of(tuple(index)),
+        np.array(sampled, dtype=bool),
+        keyed,
+    )
+
+
 def one_shot_draw(n, attack, channel_cfg, seed):
     """The reference for ``parties._draw_rounds``: all n raw draws of the
     round stream looked up on the law at once, the positions of the rows

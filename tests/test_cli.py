@@ -4,6 +4,7 @@ effective-config echo, and output formats."""
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import math
@@ -548,3 +549,46 @@ def test_run_commands_exit_cleanly(tmp_path_factory, argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+#: sha256 of the transcript and of the ``.keys`` file (None: none written)
+#: of three 20,000-round ``protocol`` runs: honest, Eve on a lossy dark
+#: channel, and a double-click source attack that aborts.
+_PINNED_OUTPUTS = [
+    (
+        ("--seed", "1"),
+        0,
+        "81a074aed3377c272a4105d20a6e284db1dc202445265ce787d122d421822e9a",
+        "d07397b2614f43ed4e3678a391335be6e9dd60a4f28eff90230ee904c1df3a8a",
+    ),
+    (
+        ("--attack", "eve", "--theta", "0.3", "--loss", "0.2", "--dark-rate", "0.01", "--seed", "2"),
+        0,
+        "607eb3f4a04ce277b22a7d11b4e001ca0912aa8a349dd2cfcdc22de0cdf8206d",
+        "34f7f6d170eb8e45aa5538761afcf5d44ba1b75c14bead2645344a84157f0a87",
+    ),
+    (
+        ("--attack", "alice-double", "--p", "1.0", "--seed", "3"),
+        2,
+        "8a286ac03e07c9c5b213203ddecd2239a87e8ca3e31c533b874aaa2e830fecd5",
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,transcript_sha,keys_sha", _PINNED_OUTPUTS, ids=["honest", "eve", "double"]
+)
+def test_protocol_output_bytes_are_pinned(
+    capsys, tmp_path, argv, exit_code, transcript_sha, keys_sha
+):
+    """A ``protocol`` run's files are byte for byte those of the recorded
+    runs, so a change to how a session is held or written cannot change
+    them unnoticed.  A deliberate change of the file format updates these
+    constants, and its change record names the format change."""
+    target = tmp_path / "t.txt"
+    code, _, _ = run_cli(capsys, "protocol", "--n", "20000", *argv, "--output", str(target))
+    assert code == exit_code
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == transcript_sha
+    keys = tmp_path / "t.txt.keys"
+    assert (hashlib.sha256(keys.read_bytes()).hexdigest() if keys.exists() else None) == keys_sha

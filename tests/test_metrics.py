@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import binom_sigma, load_workloads, tabulate
+from conftest import binom_sigma, load_workloads, table_from_records, tabulate
 
 from cqca.analysis import (
     error_from_visibility,
@@ -188,7 +188,8 @@ class TestTallies:
         n = 2_000
         for seed in range(1, 21):
             rounds = run_rounds(n, point.attack, point.channel, seed).rounds
-            sample = rounds.take(np.sort(np.random.default_rng(seed).choice(n, n // 4, False)))
+            drawn = np.sort(np.random.default_rng(seed).choice(n, n // 4, False))
+            sample = RoundTable(rounds.row_ids[drawn], rounds.layout, rounds.sampled[drawn])
             # integer sums do not depend on the order the records are walked
             stream, disclosed = tabulate(rounds).items(), tabulate(sample).items()
             for table, walk in ((sample, _walk(disclosed, stream, n)),
@@ -232,7 +233,7 @@ class TestTallies:
         ),
     ], ids=["coincidence", "visibility", "bias", "error-rate"])
     def test_insufficient_sample_names_the_first_empty_figure(self, records, message):
-        table = RoundTable.from_records(records)
+        table = table_from_records(records)
         with pytest.raises(InsufficientSample, match=f"^{re.escape(message)}$"):
             compute_merit_report(table, table, len(table))
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_workloads, one_shot_draw
+from conftest import load_workloads, one_shot_draw, table_from_records
 from cqca import adversary, metrics, parties
 from cqca.channel import AttackConfig, ChannelConfig
 from cqca.metrics import Verdict
@@ -172,7 +172,7 @@ def _record(rid, sb, sc, outcome, sampled=False):
 
 
 def _sift(records):
-    key_bob, key_charlie = sift_key(RoundTable.from_records(records))
+    key_bob, key_charlie = sift_key(table_from_records(records))
     return list(key_bob), list(key_charlie)
 
 
@@ -217,6 +217,14 @@ class TestKeyHex:
             assert key_to_hex(list(key)) == key_to_hex(key)
 
 
+FORMAT_SESSIONS = {
+    "honest": (AttackConfig.none(), ChannelConfig()),
+    "eve-0.3-lossy": (AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
+    "single-0.5": (AttackConfig.alice_single_path(0.5), ChannelConfig()),
+    "double-1.0": (AttackConfig.alice_double_path(1.0), ChannelConfig()),
+}
+
+
 @pytest.fixture(scope="module")
 def honest():
     return run_protocol(20_000, 0.25, seed=101)
@@ -238,11 +246,24 @@ class TestProtocolSession:
     def test_keys_reconstructible_from_rounds_alone(self, honest):
         assert sift_key(honest.rounds) == (honest.key_bob, honest.key_charlie)
 
-    def test_sifted_bits_only_on_unsampled_d1_rounds(self, honest):
-        for r in honest.rounds:
-            if r.sifted_bit is not None:
-                assert r.outcome_alice is Outcome.D1 and not r.sampled
-                assert r.sifted_bit == canonical_sifted_bit(r.setting_b, r.setting_c)
+    def test_sifted_bits_only_on_unsampled_d1_rounds(self):
+        # both ways: a round carries a bit exactly when its session released
+        # keys, it is an unsampled D1 round and its settings give a bit; in
+        # the records and in the written lines, on keyed and aborted sessions
+        for session, (attack, channel) in FORMAT_SESSIONS.items():
+            transcript = run_protocol(5_000, 0.25, attack, seed=5, channel_cfg=channel)
+            keyed = transcript.verdict.key_produced
+            assert keyed == (session in ("honest", "eve-0.3-lossy"))
+            lines = transcript_lines(transcript)
+            carried = 0
+            for r, line in zip(transcript.rounds, lines, strict=True):
+                bit = canonical_sifted_bit(r.setting_b, r.setting_c)
+                if not (keyed and r.outcome_alice is Outcome.D1 and not r.sampled and bit >= 0):
+                    bit = None
+                carried += bit is not None
+                assert r.sifted_bit == bit, (session, r)
+                assert line_to_round(line).sifted_bit == bit, (session, line)
+            assert (carried > 0) == keyed, session
 
     def test_local_view_sifting_from_censored_transcript(self, honest):
         # Bob's view: his settings plus the announcements; Charlie's likewise
@@ -318,7 +339,7 @@ class TestProtocolSession:
 
         def columns(t):
             return (
-                t.rounds.row_ids, t.rounds.round_ids, t.rounds.sampled, t.rounds.sifted_bits,
+                t.rounds.row_ids, t.rounds.sampled,
                 t.eve_records.round_ids, t.eve_records.guesses, t.eve_records.true_bits,
             )
 
@@ -363,7 +384,8 @@ class TestProtocolSession:
                     disclosed, stream = parties._session_counts(rounds)
                     assert disclosed.row_counts().sum() == int(n * f)
                     assert stream.row_counts().sum() == n
-                    table = rounds.take(np.flatnonzero(rounds.sampled))
+                    drawn = np.flatnonzero(rounds.sampled)
+                    table = RoundTable(rounds.row_ids[drawn], rounds.layout, rounds.sampled[drawn])
                     assert report(disclosed, stream, n) == report(table, rounds, n), (n, point, seed)
 
     def test_rejects_bad_arguments(self):
@@ -428,7 +450,7 @@ class TestStreams:
     def test_block_draws_equal_the_one_shot_draw(self, attack, channel, n):
         rounds, probed, p_one = parties._draw_rounds(n, attack, channel, seed=13)
         rows, expected_probed, expected_p_one = one_shot_draw(n, attack, channel, 13)
-        assert rounds.row_ids.dtype == np.int16 and rounds.ids is None
+        assert rounds.row_ids.dtype == np.int16
         np.testing.assert_array_equal(rounds.row_ids, rows)
         np.testing.assert_array_equal(probed, expected_probed)
         np.testing.assert_array_equal(p_one, expected_p_one)
@@ -470,28 +492,24 @@ class TestRoundSerialization:
 class TestRoundTable:
     def test_records_round_trip_through_a_table(self):
         records = [
-            _record(0, Action.A, Action.F, Outcome.D1),
-            _record(5, Action.F, Action.F, Outcome.D2, sampled=True),
-            _record(9, Action.A, Action.F, Outcome.D1),
+            _record(0, Action.A, Action.F, Outcome.D1, sampled=True),
+            _record(1, Action.F, Action.F, Outcome.D2, sampled=True),
+            _record(2, Action.A, Action.F, Outcome.D1),
+            _record(3, Action.F, Action.F, Outcome.D1),
         ]
-        records[2].sifted_bit = 0
-        table = RoundTable.from_records(records)
-        assert len(table) == 3 and len(table.cells) == 2
+        table = table_from_records(records)
+        assert len(table) == 4 and len(table.cells) == 3
         assert list(table) == records
+        # in a keyed table the unsampled D1 round on anti-correlated
+        # settings carries its bit; the correlated one carries none
+        records[2].sifted_bit = 0
+        assert list(table_from_records(records, keyed=True)) == records
 
     def test_session_rounds_iterate_as_records(self, honest):
         records = list(honest.rounds)
         assert len(records) == len(honest.rounds) == 20_000
         assert [r.round_id for r in records] == list(range(20_000))
         assert transcript_lines(honest) == [round_to_line(r) for r in records]
-
-
-FORMAT_SESSIONS = {
-    "honest": (AttackConfig.none(), ChannelConfig()),
-    "eve-0.3-lossy": (AttackConfig.eve_probe(0.3), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
-    "single-0.5": (AttackConfig.alice_single_path(0.5), ChannelConfig()),
-    "double-1.0": (AttackConfig.alice_double_path(1.0), ChannelConfig()),
-}
 
 
 def _line_bytes(rounds):
@@ -524,27 +542,16 @@ class TestTranscriptBytes:
         _CHUNK_IDS - 1, _CHUNK_IDS, _CHUNK_IDS + 1, 100_001,
     ])
     def test_positions_write_like_explicit_ids(self, n):
+        # any rows and samples, keyed or not, write as their records' lines
         rng = np.random.default_rng(n)
         channel = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
         layout = parties._sampling_plan(AttackConfig.eve_probe(0.3), channel).layout
         sampled = rng.random(n) < 0.25
-        bits = np.where(sampled, -1, rng.integers(-1, 2, n)).astype(np.int8)
         rows = rng.integers(0, len(layout.cells), n).astype(np.int16)
-        table = RoundTable(rows, layout, sampled, bits)
-        np.testing.assert_array_equal(table.round_ids, np.arange(n))
-        assert _written(table) == _line_bytes(table)
-
-    def test_taken_ids_are_a_copy_of_the_positions(self, honest):
-        positions = np.array([5, 3, 19_999])
-        taken = honest.rounds.take(positions)
-        positions[:] = 0
-        assert taken.round_ids.tolist() == [5, 3, 19_999]
-
-    def test_tables_with_explicit_ids_are_refused(self, honest):
-        recorded = RoundTable.from_records([_record(0, Action.A, Action.F, Outcome.D1)])
-        for table in (honest.rounds.take(np.arange(3)), recorded):
-            with pytest.raises(ValueError, match="positions"):
-                list(transcript_chunks(table))
+        for keyed in (False, True):
+            table = RoundTable(rows, layout, sampled, keyed)
+            assert [r.round_id for r in table] == list(range(n))
+            assert _written(table) == _line_bytes(table), keyed
 
     @pytest.mark.parametrize(
         "ids",
@@ -606,11 +613,11 @@ def _simulate_eve():
 
 
 class TestWorkingSet:
-    """A 1e5-round session holds its columns, 0.38 MiB of int16 row ids,
-    bool sampled flags and int8 sifted bits, plus one block of rounds at a
-    time.  ``run_protocol`` also holds ``Generator.choice``'s internal
-    ``arange(n)`` (0.76 MiB of int64) and its draw while it marks the
-    sample; Eve's columns and the key take what is left of each budget."""
+    """A 1e5-round session holds its columns, 0.29 MiB of int16 row ids
+    and bool sampled flags, plus one block of rounds at a time.
+    ``run_protocol`` also holds ``Generator.choice``'s internal ``arange(n)``
+    (0.76 MiB of int64) and its draw while it marks the sample; Eve's
+    columns and the key take what is left of each budget."""
 
     @pytest.mark.parametrize("session,budget_mib", [
         (lambda: run_protocol(100_000, 0.25, seed=1), 1.5),
