@@ -72,7 +72,10 @@ class RunConfig:
         return ChannelConfig(loss_rate=self.loss, dark_rate=self.dark_rate)
 
 
-def _parse_optional(text: str) -> str | None:
+def _parse_path(text: str) -> str | None:
+    """A path, or None for ``""`` or ``none``; no path holds a NUL byte."""
+    if "\0" in text:
+        raise ValueError("a path cannot hold a NUL byte")
     return None if text in ("", "none") else text
 
 
@@ -81,7 +84,7 @@ _ANNOTATION_PARSERS = {
     "str": str,
     "int": int,
     "float": float,
-    "str | None": _parse_optional,
+    "str | None": _parse_path,
 }
 #: Each config key's parser, which also parses its flag.  ``command`` is
 #: accepted for round-tripping echoes; the subcommand wins.
@@ -209,9 +212,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise CliError(f"config file not found: {path}")
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot read {path}: {exc}") from exc
         values.update(parse_config_file(text))
     for key, value in flags.items():  # its echo reads back as one line, unstripped
         if isinstance(value, str) and [_strip_comment(value)] != value.splitlines(True):

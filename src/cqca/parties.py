@@ -34,7 +34,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -216,8 +216,10 @@ class CellLayout:
     """The contingency cells a run can produce, and what each row of them
     implies, derived once per layout and read-only: the merit tallies each
     row counts toward (``metrics.tally_matrix``), whether it announces D1,
-    and the key bit Bob and Charlie take from it (Bob: A -> 0, F -> 1;
-    Charlie: F -> 0, A -> 1) beside the canonical sifted bit."""
+    the key bit Bob and Charlie take from it (Bob: A -> 0, F -> 1;
+    Charlie: F -> 0, A -> 1) beside the canonical sifted bit, and Eve's
+    P(guess 1) on it (``p_one``, NaN where she holds no probe), whose
+    probed rows ``probe`` marks."""
 
     cells: tuple[Cell, ...]
     tallies: np.ndarray
@@ -225,21 +227,26 @@ class CellLayout:
     bit_b: np.ndarray
     bit_c: np.ndarray
     sifted_bit: np.ndarray
+    p_one: np.ndarray
+    probe: np.ndarray
 
     @classmethod
-    def of(cls, cells: Sequence[Cell]) -> CellLayout:
-        def column(value: Callable[..., object], dtype) -> np.ndarray:
-            array = np.array([value(*cell) for cell in cells], dtype=dtype)
+    def of(cls, cells: Sequence[Cell], p_one: Sequence[float | None]) -> CellLayout:
+        def column(values, dtype) -> np.ndarray:
+            array = np.array(values, dtype=dtype)
             array.flags.writeable = False
             return array
 
+        eve = column(p_one, float)  # None becomes NaN
         return cls(
             tuple(cells),
             metrics.tally_matrix(cells),
-            column(lambda _b, _c, outcome, *_: outcome is Outcome.D1, bool),
-            column(lambda setting_b, *_: setting_b is Action.F, np.int8),
-            column(lambda _b, setting_c, *_: setting_c is Action.A, np.int8),
-            column(canonical_sifted_bit, np.int8),
+            column([outcome is Outcome.D1 for _, _, outcome, *_ in cells], bool),
+            column([setting_b is Action.F for setting_b, *_ in cells], np.int8),
+            column([setting_c is Action.A for _, setting_c, *_ in cells], np.int8),
+            column([canonical_sifted_bit(*cell) for cell in cells], np.int8),
+            eve,
+            column(~np.isnan(eve), bool),
         )
 
 
@@ -438,16 +445,13 @@ class _SamplingPlan:
     ``cdf`` is a round's joint law as one CDF over the rows of ``layout``,
     each row weighed as in ``law._weighted_rows``.  Guide bucket b holds the
     uniforms in [b, b + 1) / 1024: ``first[b]`` counts the CDF entries at or
-    below b / 1024 and ``unsure[b]`` marks one strictly inside.  ``p_one`` is
-    Eve's P(guess 1) by row (NaN where none); ``probe`` marks probed rows.
+    below b / 1024 and ``unsure[b]`` marks one strictly inside.
     """
 
     cdf: np.ndarray
     first: np.ndarray
     unsure: np.ndarray
     layout: CellLayout
-    p_one: np.ndarray
-    probe: np.ndarray
 
 
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
@@ -459,11 +463,9 @@ def _sampling_plan(attack: AttackConfig, channel_cfg: ChannelConfig) -> _Samplin
     edges = np.arange(1025) / 1024
     first = np.searchsorted(cdf, edges[:-1], side="right").astype(np.int16)
     unsure = np.searchsorted(cdf, edges[1:], side="left") > first
-    p_one_by_row = np.array(p_one, dtype=float)  # None becomes NaN
-    probe = ~np.isnan(p_one_by_row)
-    for array in (cdf, first, unsure, p_one_by_row, probe):
+    for array in (cdf, first, unsure):
         array.flags.writeable = False
-    return _SamplingPlan(cdf, first, unsure, CellLayout.of(cells), p_one_by_row, probe)
+    return _SamplingPlan(cdf, first, unsure, CellLayout.of(cells, p_one))
 
 
 def _select_rows(plan: _SamplingPlan, raw: np.ndarray) -> np.ndarray:
@@ -492,42 +494,35 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child))
 
 
-def _draw_rounds(
-    n: int, attack: AttackConfig, channel_cfg: ChannelConfig, seed: int
-) -> tuple[RoundTable, np.ndarray, np.ndarray]:
+def _draw_rounds(n: int, attack: AttackConfig, channel_cfg: ChannelConfig, seed: int) -> RoundTable:
     """Draw n rounds in bulk from the outcome law.
 
     Each round is one raw 64-bit draw from the round stream, looked up on
     the joint law of its settings, source-attack flag and outcome
     (``_select_rows``), so its row carries all three.  The draws come a
-    block at a time, in stream order.  Returns the round table, the ids of
-    the rounds that carry Eve's probe, and her P(guess 1) on each of them;
-    a plan with no probed row makes no probe pass.
+    block at a time, in stream order.
     """
     plan = _sampling_plan(attack, channel_cfg)
-    probing = plan.probe.any()
     random_raw = _stream(seed, _ROUNDS).bit_generator.random_raw
     rows = np.empty(n, dtype=np.int16)
-    probed_blocks = [np.empty(0, dtype=np.intp)]
     for block in _blocks(n):
         rows[block] = _select_rows(plan, random_raw(block.stop - block.start))
-        if probing:
-            probed_blocks.append(np.flatnonzero(plan.probe.take(rows[block])) + block.start)
-    probed = np.concatenate(probed_blocks)
-    rounds = RoundTable(rows, plan.layout, np.zeros(n, dtype=bool))
-    return rounds, probed, plan.p_one.take(rows.take(probed))
+    return RoundTable(rows, plan.layout, np.zeros(n, dtype=bool))
 
 
-def _eve_guesses(
-    rounds: RoundTable, probed: np.ndarray, p_one: np.ndarray, seed: int
-) -> EveGuesses:
-    """Eve's Helstrom guesses on the probed rounds of a run's own table,
-    whose positions are its ids, one uniform each in round order, beside
-    the bit the stations shared.  Her stream is built only when she
+def _eve_guesses(rounds: RoundTable, positions: np.ndarray, seed: int) -> EveGuesses:
+    """Eve's Helstrom guesses on a run's own table, given the ascending
+    positions of its D1 rounds that no station disclosed: she measures
+    those whose row carries her probe, one uniform each in round order,
+    beside the bit the stations shared.  Her stream is built only when she
     measures a round."""
-    uniforms = _stream(seed, _EVE).random(len(probed)) if len(probed) else np.empty(0)
-    true_bits = rounds.layout.sifted_bit.take(rounds.row_ids.take(probed))
-    return EveGuesses(probed, (uniforms < p_one).astype(np.int8), true_bits)
+    layout = rounds.layout
+    rows = rounds.row_ids.take(positions)
+    probed = layout.probe.take(rows)
+    ids, rows = positions[probed], rows[probed]
+    uniforms = _stream(seed, _EVE).random(len(ids)) if len(ids) else np.empty(0)
+    guesses = (uniforms < layout.p_one.take(rows)).astype(np.int8)
+    return EveGuesses(ids, guesses, layout.sifted_bit.take(rows))
 
 
 def run_rounds(
@@ -538,15 +533,17 @@ def run_rounds(
 ) -> SimulationResult:
     """Statistics run: n independent rounds, no packet traffic or sampling.
 
-    The eavesdropper, when configured, measures every D1 round.  Rounds are
-    deterministic in (n, attack, channel, seed).
+    Nothing is sampled, so the eavesdropper, when configured, measures
+    every D1 round her probe reaches; a law with no probed row makes no
+    pass for her.  Rounds are deterministic in (n, attack, channel, seed).
     """
     if n < 1:
         raise ValueError("need at least one round")
     attack.validate()
     channel_cfg.validate()
-    rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
-    return SimulationResult(rounds=rounds, eve_records=_eve_guesses(rounds, probed, p_one, seed))
+    rounds = _draw_rounds(n, attack, channel_cfg, seed)
+    positions = _key_positions(rounds) if rounds.layout.probe.any() else np.empty(0, np.intp)
+    return SimulationResult(rounds=rounds, eve_records=_eve_guesses(rounds, positions, seed))
 
 
 def run_protocol(
@@ -561,9 +558,9 @@ def run_protocol(
     Runs n rounds with per-round announcements, samples floor(n*f) rounds
     for disclosure, estimates the figures of merit from the disclosed
     sample, and either aborts (empty keys, failing figures named) or sifts
-    the stations' keys from the unsampled D1 rounds.  The packet log is
-    derived from the rounds when read.  Deterministic in (n, f, attack,
-    channel, seed).
+    the stations' keys from the unsampled D1 rounds, the rounds Eve
+    measures where her probe reached them.  The packet log is derived from
+    the rounds when read.  Deterministic in (n, f, attack, channel, seed).
     """
     if n < 1:
         raise ValueError("need at least one round")
@@ -571,7 +568,7 @@ def run_protocol(
         raise ValueError("test fraction f must lie in (0, 1)")
     attack.validate()
     channel_cfg.validate()
-    rounds, probed, p_one = _draw_rounds(n, attack, channel_cfg, seed)
+    rounds = _draw_rounds(n, attack, channel_cfg, seed)
     sampler = _stream(seed, _SAMPLER)
     rounds.sampled[sampler.choice(n, int(n * f), replace=False, shuffle=False)] = True
     report = metrics.compute_merit_report(*_session_counts(rounds), n)
@@ -579,13 +576,10 @@ def run_protocol(
 
     key_bob = key_charlie = b""
     key_round_ids = np.empty(0, dtype=np.intp)
-    measured = np.zeros(len(probed), dtype=bool)
     if verdict.key_produced:
         key_round_ids = _key_positions(rounds)
         key_bob, key_charlie = _station_keys(rounds.layout, rounds.row_ids.take(key_round_ids))
-        measured = ~rounds.sampled[probed]
         rounds = RoundTable(rounds.row_ids, rounds.layout, rounds.sampled, keyed=True)
-    eve_records = _eve_guesses(rounds, probed[measured], p_one[measured], seed)
     return Transcript(
         rounds=rounds,
         packets=PacketStream(rounds),
@@ -594,7 +588,7 @@ def run_protocol(
         key_bob=key_bob,
         key_charlie=key_charlie,
         key_round_ids=key_round_ids,
-        eve_records=eve_records,
+        eve_records=_eve_guesses(rounds, key_round_ids, seed),
     )
 
 

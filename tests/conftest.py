@@ -109,7 +109,7 @@ def table_from_records(records, keyed: bool = False):
     """A ``RoundTable`` of the records in order, from each one's cell and
     sampled flag alone: a round's id is its position, and its sifted bit
     follows from ``keyed``.  The layout holds the cells in order of first
-    appearance."""
+    appearance, none of them probed by Eve."""
     from cqca.parties import CellLayout, RoundTable
 
     index: dict = {}
@@ -120,23 +120,20 @@ def table_from_records(records, keyed: bool = False):
         sampled.append(r.sampled)
     return RoundTable(
         np.array(rows, dtype=np.int16),
-        CellLayout.of(tuple(index)),
+        CellLayout.of(tuple(index), [None] * len(index)),
         np.array(sampled, dtype=bool),
         keyed,
     )
 
 
 def one_shot_draw(n, attack, channel_cfg, seed):
-    """The reference for ``parties._draw_rounds``: all n raw draws of the
-    round stream looked up on the law at once, the positions of the rows
-    Eve probes, and her P(guess 1) on each."""
+    """The reference for ``parties._draw_rounds``: each round's row, from
+    all n raw draws of the round stream looked up on the law at once."""
     from cqca import parties
 
     plan = parties._sampling_plan(attack, channel_cfg)
     raw = parties._stream(seed, parties._ROUNDS).bit_generator.random_raw(n)
-    rows = parties._select_rows(plan, raw)
-    probed = np.flatnonzero(plan.probe.take(rows))
-    return rows, probed, plan.p_one.take(rows.take(probed))
+    return parties._select_rows(plan, raw)
 
 
 @functools.cache

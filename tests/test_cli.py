@@ -444,6 +444,24 @@ class TestRobustness:
         assert f"error: cannot read {tmp_path}: " in err
         assert "Traceback" not in err and out == ""
 
+    def test_config_that_is_not_utf8_exits_one(self, capsys, tmp_path):
+        config = tmp_path / "bin.cfg"
+        config.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 1
+        assert f"error: cannot read {config}: " in err
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
+    def test_nul_byte_in_output_exits_one_before_any_session(self, capsys, tmp_path, command):
+        # argv cannot carry a NUL byte, so only a config file can
+        config = tmp_path / "nul.cfg"
+        config.write_bytes(b"n = 2000\ngrid_points = 3\noutput = a\x00b\n")
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1
+        assert "error: line 3: bad value for output: 'a\\x00b'" in err
+        assert "Traceback" not in err and "effective-config" not in err and out == ""
+
     def test_null_probe_round_has_no_traceback(self, capsys):
         # a dark D1 on a lost double reflection under a zero-strength probe
         # leaves Eve's probe with no amplitude

@@ -119,8 +119,8 @@ def test_sampling_plan_is_derived_once_and_read_only():
     plan = _sampling_plan(attack, channel)
     assert _sampling_plan(AttackConfig.alice_double_path(0.5), LOSSY) is plan
     layout = plan.layout
-    for array in (plan.cdf, plan.first, plan.unsure, plan.p_one, plan.probe, layout.tallies,
-                  layout.d1, layout.bit_b, layout.bit_c, layout.sifted_bit):
+    for array in (plan.cdf, plan.first, plan.unsure, layout.tallies, layout.d1, layout.bit_b,
+                  layout.bit_c, layout.sifted_bit, layout.p_one, layout.probe):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
     with pytest.raises(AttributeError):
@@ -158,8 +158,8 @@ def test_row_selection_is_searchsorted_on_each_table(attack, channel):
         cells += [(sb, sc, r.outcome, r.click_b, r.click_c, r.multi_count) for r in rows]
         p_one += [np.nan if r.p_one is None else r.p_one for r in rows]
     assert plan.layout.cells == tuple(cells)
-    np.testing.assert_array_equal(plan.p_one, p_one)  # NaN matches NaN
-    np.testing.assert_array_equal(plan.probe, ~np.isnan(p_one))
+    np.testing.assert_array_equal(plan.layout.p_one, p_one)  # NaN matches NaN
+    np.testing.assert_array_equal(plan.layout.probe, ~np.isnan(p_one))
     cdf = np.cumsum(weights) / math.fsum(weights)
     np.testing.assert_allclose(plan.cdf, cdf, rtol=0.0, atol=1e-15)
     assert plan.cdf[-1] == 1.0 and np.all(np.diff(plan.cdf) >= 0.0)

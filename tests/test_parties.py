@@ -1,6 +1,7 @@
 """Protocol-session tests: the packet codec, sifting, causality of the
 announcement stream, and transcript determinism."""
 
+import hashlib
 import itertools
 import math
 import struct
@@ -378,7 +379,7 @@ class TestProtocolSession:
         for n in (5_000, _CHUNK_IDS - 1, _CHUNK_IDS + 1, 3 * _CHUNK_IDS + 7):
             for point in (*workloads.SCAN, *workloads.DEFECT_SCAN):
                 for seed in range(1, 21):
-                    rounds, _, _ = parties._draw_rounds(n, point.attack, point.channel, seed)
+                    rounds = parties._draw_rounds(n, point.attack, point.channel, seed)
                     sampler = parties._stream(seed, _SAMPLER)
                     rounds.sampled[sampler.choice(n, int(n * f), replace=False)] = True
                     disclosed, stream = parties._session_counts(rounds)
@@ -448,12 +449,9 @@ class TestStreams:
         (AttackConfig.alice_double_path(0.5), ChannelConfig(loss_rate=0.2, dark_rate=0.01)),
     ], ids=["honest", "eve-0.6-lossy", "double-0.5-lossy"])
     def test_block_draws_equal_the_one_shot_draw(self, attack, channel, n):
-        rounds, probed, p_one = parties._draw_rounds(n, attack, channel, seed=13)
-        rows, expected_probed, expected_p_one = one_shot_draw(n, attack, channel, 13)
+        rounds = parties._draw_rounds(n, attack, channel, seed=13)
         assert rounds.row_ids.dtype == np.int16
-        np.testing.assert_array_equal(rounds.row_ids, rows)
-        np.testing.assert_array_equal(probed, expected_probed)
-        np.testing.assert_array_equal(p_one, expected_p_one)
+        np.testing.assert_array_equal(rounds.row_ids, one_shot_draw(n, attack, channel, 13))
 
     def test_disclosed_sample_is_the_sampler_streams_choice(self):
         n, f, seed = 3_000, 0.25, 4
@@ -461,6 +459,87 @@ class TestStreams:
         ids = np.random.Generator(np.random.PCG64(expected)).choice(n, int(n * f), replace=False)
         sampled = run_protocol(n, f, seed=seed).rounds.sampled
         np.testing.assert_array_equal(np.flatnonzero(sampled), np.sort(ids))
+
+
+_LOSSY = ChannelConfig(loss_rate=0.2, dark_rate=0.01)
+
+_PINNED_EVE = [
+    (
+        lambda: run_rounds(20_000, AttackConfig.eve_probe(0.3), _LOSSY, seed=2),
+        None,
+        2_179,
+        "a567fec43edb6d63f1701558f273572f174f725b12f1a7a63f0c350ad18d6268",
+    ),
+    (
+        lambda: run_protocol(20_000, 0.25, AttackConfig.eve_probe(0.2), seed=3),
+        "KeyProduced",
+        1_933,
+        "d270d4ca627357d883d7bd42acde80ae7bac5b5f3f2ae9b371394e27fc0b846c",
+    ),
+    (
+        lambda: run_protocol(20_000, 0.25, AttackConfig.eve_probe(0.3), seed=2, channel_cfg=_LOSSY),
+        "KeyProduced",
+        1_630,
+        "ded14f7e51db6b7b20947b217be4111518d110af4d67762fb9b631d1cf31e3d2",
+    ),
+    (
+        lambda: run_protocol(20_000, 0.25, AttackConfig.eve_probe(0.6), seed=4),
+        "Aborted(visibility,errorRate)",
+        0,
+        hashlib.sha256().hexdigest(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "session,verdict,count,sha", _PINNED_EVE,
+    ids=["rounds-eve-0.3-lossy", "protocol-eve-0.2", "protocol-eve-0.3-lossy", "protocol-eve-0.6"],
+)
+def test_eve_columns_are_pinned(session, verdict, count, sha):
+    """Eve's columns are those of the recorded runs: the sha256 of her
+    round ids as ``<i8``, then her guesses and the shared bits as ``i1``.
+    So a change to how her rounds are picked cannot change her stream
+    unnoticed.  A deliberate change to Eve's stream updates these
+    constants, and its change record names it."""
+    result = session()
+    eve = result.eve_records
+    if verdict is not None:
+        assert str(result.verdict) == verdict
+    digest = hashlib.sha256(eve.round_ids.astype("<i8").tobytes())
+    digest.update(eve.guesses.astype("i1").tobytes())
+    digest.update(eve.true_bits.astype("i1").tobytes())
+    assert (len(eve), digest.hexdigest()) == (count, sha)
+
+
+def test_eve_measures_the_probed_d1_rounds_nobody_disclosed():
+    # a keyed session's Eve holds the key rounds her probe reached, an
+    # aborted one's nothing, and a statistics run's every probed D1 round;
+    # on the lossy Eve points dark D1 clicks on absorbed rounds are D1 rows
+    # with no probe, so the filter drops key rounds there
+    workloads = load_workloads()
+    dropped = 0
+    for n, seeds in ((5_000, range(1, 11)), (3 * _CHUNK_IDS + 7, (1,))):
+        for point in (*workloads.SCAN, *workloads.DEFECT_SCAN):
+            for seed in seeds:
+                where = (n, point.label, seed)
+                t = run_protocol(n, 0.25, point.attack, seed, channel_cfg=point.channel)
+                layout = t.rounds.layout
+                probe = layout.probe.take(t.rounds.row_ids)
+                if not t.verdict.key_produced:
+                    assert len(t.key_round_ids) == 0, where
+                expected = t.key_round_ids[probe.take(t.key_round_ids)]
+                dropped += len(t.key_round_ids) - len(expected)
+                r = run_rounds(n, point.attack, point.channel, seed)
+                d1 = layout.d1.take(r.rounds.row_ids)
+                probed = np.flatnonzero(d1 & layout.probe.take(r.rounds.row_ids))
+                for eve, rows, ids in (
+                    (t.eve_records, t.rounds.row_ids, expected),
+                    (r.eve_records, r.rounds.row_ids, probed),
+                ):
+                    np.testing.assert_array_equal(eve.round_ids, ids, err_msg=str(where))
+                    bits = layout.sifted_bit.take(rows.take(ids))
+                    np.testing.assert_array_equal(eve.true_bits, bits, err_msg=str(where))
+    assert dropped > 0
 
 
 class TestRoundSerialization:
