@@ -209,10 +209,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     config = flags.pop("config")
     if config:
         path = Path(config)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Protocol state machines, the hybrid packet codec, and transcripts.
+"""A protocol session, the hybrid packet codec, and transcripts.
 
 A session runs between a source station (Alice) that emits and announces,
 and two receiving stations (Bob, Charlie) that pick a per-round setting,
@@ -88,7 +88,6 @@ class HybridPacket:
     """Decoded packet.  Wire-only fields (magic, body length, terminator,
     checksum) are produced and verified by the codec."""
 
-    version: int
     packet_number: int
     origin: PartyId
     destination: PartyId
@@ -112,7 +111,7 @@ def encode_packet(packet: HybridPacket) -> bytes:
         raise ValueError("packet number exceeds 32 bits")
     header = MAGIC + struct.pack(
         ">BIBBHB",
-        packet.version,
+        VERSION,
         packet.packet_number,
         packet.origin.value,
         packet.destination.value,
@@ -155,7 +154,7 @@ def decode_packet(data: bytes) -> HybridPacket:
         raise MalformedPacket("bad terminator")
     if checksum != _xor_checksum(body):
         raise MalformedPacket("bad checksum")
-    return HybridPacket(version, number, origin_id, destination_id, kind, body)
+    return HybridPacket(number, origin_id, destination_id, kind, body)
 
 
 def quantum_slot_body(round_id: int) -> bytes:
@@ -201,25 +200,15 @@ class RoundRecord:
     sifted_bit: int | None = None
 
 
-def canonical_sifted_bit(setting_b: Action, setting_c: Action, *_) -> int:
-    """Key bit a D1 announcement implies in a cell: (A,F) -> 0, (F,A) -> 1,
-    and -1 where correlated settings carry no agreed bit."""
-    if setting_b is Action.A and setting_c is Action.F:
-        return 0
-    if setting_b is Action.F and setting_c is Action.A:
-        return 1
-    return -1
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class CellLayout:
     """The contingency cells a run can produce, and what each row of them
     implies, derived once per layout and read-only: the merit tallies each
     row counts toward (``metrics.tally_matrix``), whether it announces D1,
-    the key bit Bob and Charlie take from it (Bob: A -> 0, F -> 1;
-    Charlie: F -> 0, A -> 1) beside the canonical sifted bit, and Eve's
-    P(guess 1) on it (``p_one``, NaN where she holds no probe), whose
-    probed rows ``probe`` marks."""
+    the key bit Bob and Charlie take from it (Bob: A -> 0, F -> 1; Charlie:
+    F -> 0, A -> 1), the sifted bit as their common bit ((A,F) -> 0, (F,A)
+    -> 1, -1 on correlated settings), and Eve's P(guess 1) on it (``p_one``,
+    NaN where she holds no probe), whose probed rows ``probe`` marks."""
 
     cells: tuple[Cell, ...]
     tallies: np.ndarray
@@ -237,28 +226,30 @@ class CellLayout:
             array.flags.writeable = False
             return array
 
+        bit_b = column([setting_b is Action.F for setting_b, *_ in cells], np.int8)
+        bit_c = column([setting_c is Action.A for _, setting_c, *_ in cells], np.int8)
         eve = column(p_one, float)  # None becomes NaN
         return cls(
             tuple(cells),
             metrics.tally_matrix(cells),
             column([outcome is Outcome.D1 for _, _, outcome, *_ in cells], bool),
-            column([setting_b is Action.F for setting_b, *_ in cells], np.int8),
-            column([setting_c is Action.A for _, setting_c, *_ in cells], np.int8),
-            column([canonical_sifted_bit(*cell) for cell in cells], np.int8),
+            bit_b,
+            bit_c,
+            column(np.where(bit_b == bit_c, bit_b, -1), np.int8),
             eve,
             column(~np.isnan(eve), bool),
         )
 
 
-def _round_kinds(cells: Sequence[Cell], keyed: bool) -> list[tuple]:
+def _round_kinds(layout: CellLayout, keyed: bool) -> list[tuple]:
     """A ``RoundRecord``'s fields after its id for each code 2 * row +
-    sampled: the row's cell, the flag, and the sifted bit, which only an
-    unsampled D1 round of a keyed session carries, and only on
+    sampled: the row's cell, the flag, and the row's sifted bit, which only
+    an unsampled D1 round of a keyed session carries, and only on
     anti-correlated settings."""
     kinds = []
-    for cell in cells:
-        bit = canonical_sifted_bit(*cell) if keyed and cell[2] is Outcome.D1 else -1
-        kinds += [(*cell, False, None if bit < 0 else bit), (*cell, True, None)]
+    for cell, d1, bit in zip(layout.cells, layout.d1.tolist(), layout.sifted_bit.tolist()):
+        bit = bit if keyed and d1 and bit >= 0 else None
+        kinds += [(*cell, False, bit), (*cell, True, None)]
     return kinds
 
 
@@ -286,7 +277,7 @@ class RoundTable:
         return len(self.row_ids)
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        kinds = _round_kinds(self.cells, self.keyed)
+        kinds = _round_kinds(self.layout, self.keyed)
         for round_id, code in enumerate(self.codes(slice(None)).tolist()):
             yield RoundRecord(round_id, *kinds[code])
 
@@ -346,8 +337,7 @@ class PacketStream:
         control, disclose = BodyType.CONTROL, BodyType.DISCLOSE
         rounds, cells = self.rounds, self.rounds.cells
 
-        def packet(number: int, origin: PartyId, destination: PartyId, kind: BodyType, body: bytes):
-            return HybridPacket(VERSION, number, origin, destination, kind, body)
+        packet = HybridPacket
 
         yield packet(0, charlie, alice, control, control_body(ControlOp.REQUEST))
         yield packet(0, alice, charlie, control, control_body(ControlOp.ACK))
@@ -399,12 +389,13 @@ class SimulationResult:
     eve_records: EveGuesses
 
 
-def _key_positions(rounds: RoundTable) -> np.ndarray:
-    """Positions of the unsampled D1 rounds, the rounds both stations key on."""
+def _key_rounds(rounds: RoundTable) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions and rows of the unsampled D1 rounds, the key rounds."""
     keyed = np.empty(len(rounds), dtype=bool)
     for block in _blocks(len(rounds)):
         keyed[block] = rounds.layout.d1.take(rounds.row_ids[block]) & ~rounds.sampled[block]
-    return np.flatnonzero(keyed)
+    positions = np.flatnonzero(keyed)
+    return positions, rounds.row_ids.take(positions)
 
 
 def _station_keys(layout: CellLayout, key_rows: np.ndarray) -> tuple[bytes, bytes]:
@@ -422,7 +413,7 @@ def sift_key(rounds: RoundTable) -> tuple[bytes, bytes]:
     Rounds whose settings were secretly correlated yield mismatched bits,
     surfacing as key errors rather than being discarded.
     """
-    return _station_keys(rounds.layout, rounds.row_ids.take(_key_positions(rounds)))
+    return _station_keys(rounds.layout, _key_rounds(rounds)[1])
 
 
 def _session_counts(rounds: RoundTable) -> tuple[RowCounts, RowCounts]:
@@ -510,14 +501,14 @@ def _draw_rounds(n: int, attack: AttackConfig, channel_cfg: ChannelConfig, seed:
     return RoundTable(rows, plan.layout, np.zeros(n, dtype=bool))
 
 
-def _eve_guesses(rounds: RoundTable, positions: np.ndarray, seed: int) -> EveGuesses:
-    """Eve's Helstrom guesses on a run's own table, given the ascending
-    positions of its D1 rounds that no station disclosed: she measures
-    those whose row carries her probe, one uniform each in round order,
-    beside the bit the stations shared.  Her stream is built only when she
-    measures a round."""
-    layout = rounds.layout
-    rows = rounds.row_ids.take(positions)
+def _eve_guesses(
+    layout: CellLayout, positions: np.ndarray, rows: np.ndarray, seed: int
+) -> EveGuesses:
+    """Eve's Helstrom guesses on a run's D1 rounds that no station
+    disclosed, given by their ascending positions and their rows of
+    ``layout``: she measures those whose row carries her probe, one uniform
+    each in round order, beside the bit the stations shared.  Her stream is
+    built only when she measures a round."""
     probed = layout.probe.take(rows)
     ids, rows = positions[probed], rows[probed]
     uniforms = _stream(seed, _EVE).random(len(ids)) if len(ids) else np.empty(0)
@@ -542,8 +533,10 @@ def run_rounds(
     attack.validate()
     channel_cfg.validate()
     rounds = _draw_rounds(n, attack, channel_cfg, seed)
-    positions = _key_positions(rounds) if rounds.layout.probe.any() else np.empty(0, np.intp)
-    return SimulationResult(rounds=rounds, eve_records=_eve_guesses(rounds, positions, seed))
+    positions, rows = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int16)
+    if rounds.layout.probe.any():
+        positions, rows = _key_rounds(rounds)
+    return SimulationResult(rounds, _eve_guesses(rounds.layout, positions, rows, seed))
 
 
 def run_protocol(
@@ -575,10 +568,10 @@ def run_protocol(
     verdict = metrics.abort_decision(report, channel_cfg)
 
     key_bob = key_charlie = b""
-    key_round_ids = np.empty(0, dtype=np.intp)
+    key_round_ids, key_rows = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int16)
     if verdict.key_produced:
-        key_round_ids = _key_positions(rounds)
-        key_bob, key_charlie = _station_keys(rounds.layout, rounds.row_ids.take(key_round_ids))
+        key_round_ids, key_rows = _key_rounds(rounds)
+        key_bob, key_charlie = _station_keys(rounds.layout, key_rows)
         rounds = RoundTable(rounds.row_ids, rounds.layout, rounds.sampled, keyed=True)
     return Transcript(
         rounds=rounds,
@@ -588,7 +581,7 @@ def run_protocol(
         key_bob=key_bob,
         key_charlie=key_charlie,
         key_round_ids=key_round_ids,
-        eve_records=_eve_guesses(rounds, key_round_ids, seed),
+        eve_records=_eve_guesses(rounds.layout, key_round_ids, key_rows, seed),
     )
 
 
@@ -654,20 +647,15 @@ def _put_positions(rows: np.ndarray, first: int, digits: int) -> None:
             part[:, : digits - 4].view(f"S{digits - 4}")[:, 0] = b"%d" % high
 
 
-def _changes(values: np.ndarray) -> list[int]:
-    """The indices whose value differs from the one before."""
-    return (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
-
-
 @functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
-def _transcript_tails(cells: tuple[Cell, ...], keyed: bool) -> np.ndarray:
+def _transcript_tails(layout: CellLayout, keyed: bool) -> np.ndarray:
     """A transcript line after its round id, newline excluded, for each code
-    2 * row + sampled (``RoundTable.codes``), as a read-only table by code.
-    Every field is one character, so every tail has one length: 16 bytes, a
-    native width to gather."""
+    2 * row + sampled (``RoundTable.codes``), as a read-only table by code,
+    cached per layout.  Every field is one character, so every tail has one
+    length: 16 bytes, a native width to gather."""
     tails = [
         round_to_line(RoundRecord(0, *kind)).removeprefix("0").encode()
-        for kind in _round_kinds(cells, keyed)
+        for kind in _round_kinds(layout, keyed)
     ]
     return np.frombuffer(b"".join(tails), f"V{len(tails[0])}")
 
@@ -681,7 +669,7 @@ def transcript_chunks(rounds: RoundTable) -> Iterator[np.ndarray]:
     (``_put_positions``), its tails are one take from the table of tails,
     and its newlines are one constant column.
     """
-    tails = _transcript_tails(rounds.cells, rounds.keyed)
+    tails = _transcript_tails(rounds.layout, rounds.keyed)
     length = tails.itemsize + 1
     n = len(rounds)
     powers = [10**k for k in range(1, len(str(n)))]
@@ -707,19 +695,17 @@ _POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def joined_decimal(ids: np.ndarray) -> Iterator[np.ndarray]:
-    """``",".join`` of the non-negative int64 ids in decimal, as uint8
+    """``",".join`` of ascending non-negative int64 ids in decimal, as uint8
     chunks.  Each block of at most ``_CHUNK_IDS`` ids splits into runs of
-    one digit count, in any id order, found by comparing the block with
-    each power of ten up to its largest id; each id is written with a
-    trailing comma, and the final chunk drops the last one."""
+    one digit count where its ids reach a power of ten, found by
+    ``np.searchsorted``; each id is written with a trailing comma, and the
+    final chunk drops the last one."""
     for block in _blocks(len(ids)):
         chunk = ids[block]
-        classes = np.zeros(len(chunk), dtype=np.int8)
-        for power in _POWERS[: len(str(chunk.max())) - 1]:
-            classes += chunk >= power
-        edges = [0, *_changes(classes), len(chunk)]
-        for lo, hi in zip(edges, edges[1:]):
-            digits = int(classes[lo]) + 1
+        edges = [0, *np.searchsorted(chunk, _POWERS).tolist(), len(chunk)]
+        for digits, (lo, hi) in enumerate(zip(edges, edges[1:]), 1):
+            if lo == hi:
+                continue
             rows = np.empty((hi - lo, digits + 1), dtype=np.uint8)
             _put_ids(rows, chunk[lo:hi], digits)
             rows[:, digits] = ord(",")

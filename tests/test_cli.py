@@ -291,6 +291,7 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", "/nonexistent.cfg")
         assert code == 1
+        assert "error: cannot read /nonexistent.cfg: No such file or directory" in err
 
     def test_bad_flag_value_exits_one(self, capsys):
         for argv in (
@@ -451,6 +452,14 @@ class TestRobustness:
         assert code == 1
         assert f"error: cannot read {config}: " in err
         assert "Traceback" not in err and out == ""
+
+    def test_config_with_a_byte_order_mark_runs(self, capsys, tmp_path):
+        # an editor may save UTF-8 with a leading BOM; it is not part of the first key
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfn = 2000\n")
+        code, _, err = run_cli(capsys, "threshold", "--config", str(config))
+        assert code == 0
+        assert "\nn = 2000\n" in err and "error" not in err
 
     @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
     def test_nul_byte_in_output_exits_one_before_any_session(self, capsys, tmp_path, command):

@@ -25,13 +25,13 @@ from cqca.parties import (
     BodyType,
     ControlOp,
     MAGIC,
+    VERSION,
     HybridPacket,
     MalformedPacket,
     PartyId,
     RoundRecord,
     RoundTable,
     announce_body,
-    canonical_sifted_bit,
     control_body,
     decode_packet,
     disclose_body,
@@ -51,7 +51,7 @@ from cqca.photonics import Action, Outcome
 
 
 def _packet(body_type=BodyType.ANNOUNCE, body=b"", number=0):
-    return HybridPacket(1, number, PartyId.ALICE, PartyId.BOB, body_type, body)
+    return HybridPacket(number, PartyId.ALICE, PartyId.BOB, body_type, body)
 
 
 class TestPacketCodec:
@@ -78,7 +78,7 @@ class TestPacketCodec:
         body=st.binary(max_size=300),
     )
     def test_round_trip_property(self, number, origin, destination, body_type, body):
-        packet = HybridPacket(1, number, origin, destination, body_type, body)
+        packet = HybridPacket(number, origin, destination, body_type, body)
         assert decode_packet(encode_packet(packet)) == packet
 
     def test_flipped_checksum_rejected(self):
@@ -129,8 +129,17 @@ class TestPacketCodec:
             decode_packet(bytes(wire))
         with pytest.raises(ValueError):
             encode_packet(
-                HybridPacket(1, 0, PartyId.EVE, PartyId.BOB, BodyType.CONTROL, b"")
+                HybridPacket(0, PartyId.EVE, PartyId.BOB, BodyType.CONTROL, b"")
             )
+
+    def test_version_is_a_wire_constant(self):
+        for body_type in BodyType:
+            assert encode_packet(_packet(body_type, b"x"))[2] == VERSION
+        for version in (0, 2, 255):
+            wire = bytearray(encode_packet(_packet(body=b"x")))
+            wire[2] = version
+            with pytest.raises(MalformedPacket, match="version"):
+                decode_packet(bytes(wire))
 
     def test_oversized_body_rejected_on_encode(self):
         with pytest.raises(ValueError):
@@ -177,12 +186,28 @@ def _sift(records):
     return list(key_bob), list(key_charlie)
 
 
+#: The bit a D1 announcement implies on each pair of settings (Bob's,
+#: Charlie's): anti-correlated settings give one, correlated ones none (-1).
+SIFTED_BIT = {
+    (Action.A, Action.F): 0,
+    (Action.F, Action.A): 1,
+    (Action.F, Action.F): -1,
+    (Action.A, Action.A): -1,
+}
+
+
 class TestSifting:
     def test_anticorrelated_conventions(self):
-        assert canonical_sifted_bit(Action.A, Action.F) == 0
-        assert canonical_sifted_bit(Action.F, Action.A) == 1
-        assert canonical_sifted_bit(Action.F, Action.F) == -1
-        assert canonical_sifted_bit(Action.A, Action.A) == -1
+        # on every row of every scanned law's layout, Bob keys 1 on F,
+        # Charlie 1 on A, and the sifted bit is the one their settings imply
+        workloads = load_workloads()
+        for point in (*workloads.SCAN, *workloads.DEFECT_SCAN):
+            layout = parties._sampling_plan(point.attack, point.channel).layout
+            for row, (setting_b, setting_c, *_) in enumerate(layout.cells):
+                where = (point.label, row)
+                assert layout.bit_b[row] == (setting_b is Action.F), where
+                assert layout.bit_c[row] == (setting_c is Action.A), where
+                assert layout.sifted_bit[row] == SIFTED_BIT[setting_b, setting_c], where
 
     def test_local_views_agree_on_anticorrelated_rounds(self):
         rounds = [
@@ -244,8 +269,14 @@ class TestProtocolSession:
     def test_keys_identical_in_honest_lossless_run(self, honest):
         assert honest.key_bob == honest.key_charlie
 
-    def test_keys_reconstructible_from_rounds_alone(self, honest):
-        assert sift_key(honest.rounds) == (honest.key_bob, honest.key_charlie)
+    def test_keys_reconstructible_from_rounds_alone(self):
+        # on the lossy Eve point correlated D1 rounds are keyed too
+        for session in ("honest", "eve-0.3-lossy"):
+            attack, channel = FORMAT_SESSIONS[session]
+            transcript = run_protocol(5_000, 0.25, attack, seed=5, channel_cfg=channel)
+            assert transcript.verdict.key_produced, session
+            keys = (transcript.key_bob, transcript.key_charlie)
+            assert sift_key(transcript.rounds) == keys, session
 
     def test_sifted_bits_only_on_unsampled_d1_rounds(self):
         # both ways: a round carries a bit exactly when its session released
@@ -258,7 +289,7 @@ class TestProtocolSession:
             lines = transcript_lines(transcript)
             carried = 0
             for r, line in zip(transcript.rounds, lines, strict=True):
-                bit = canonical_sifted_bit(r.setting_b, r.setting_c)
+                bit = SIFTED_BIT[r.setting_b, r.setting_c]
                 if not (keyed and r.outcome_alice is Outcome.D1 and not r.sampled and bit >= 0):
                     bit = None
                 carried += bit is not None
@@ -511,6 +542,32 @@ def test_eve_columns_are_pinned(session, verdict, count, sha):
     assert (len(eve), digest.hexdigest()) == (count, sha)
 
 
+def test_sessions_are_pinned():
+    """Every ``SCAN`` and ``DEFECT_SCAN`` point's sessions at seeds 1-3 are
+    those of the recorded runs: one sha256 over each session's verdict,
+    keys, key ids as ``<i8``, transcript bytes, key-id line, and Eve's round
+    ids as ``<i8`` with her guesses and shared bits as ``i1``.  So a change
+    to how a session is held or written cannot change one unnoticed.  A
+    deliberate change to the draws updates this constant, and its change
+    record names it."""
+    workloads = load_workloads()
+    digest = hashlib.sha256()
+    for point in (*workloads.SCAN, *workloads.DEFECT_SCAN):
+        for seed in (1, 2, 3):
+            t = run_protocol(5_000, 0.25, point.attack, seed, channel_cfg=point.channel)
+            eve = t.eve_records
+            digest.update(str(t.verdict).encode())
+            digest.update(t.key_bob)
+            digest.update(t.key_charlie)
+            digest.update(t.key_round_ids.astype("<i8").tobytes())
+            for chunk in (*transcript_chunks(t.rounds), *joined_decimal(t.key_round_ids)):
+                digest.update(chunk.tobytes())
+            digest.update(eve.round_ids.astype("<i8").tobytes())
+            digest.update(eve.guesses.astype("i1").tobytes())
+            digest.update(eve.true_bits.astype("i1").tobytes())
+    assert digest.hexdigest() == "2c3814cafec1fd8ce06c7b88275137d1e4f6a88078f1f7e44da6c6039de8dc67"
+
+
 def test_eve_measures_the_probed_d1_rounds_nobody_disclosed():
     # a keyed session's Eve holds the key rounds her probe reached, an
     # aborted one's nothing, and a statistics run's every probed D1 round;
@@ -637,7 +694,7 @@ class TestTranscriptBytes:
         [
             [],
             [0],
-            [7, 0],
+            [0, 7],
             [0, 9, 10, 99_999, 123_456_789],
             list(range(_CHUNK_IDS + 1)),
         ],
@@ -658,15 +715,10 @@ class TestTranscriptBytes:
             ),
             max_size=40,
         ),
-        order=st.sampled_from(["ascending", "descending", "shuffled"]),
         chunk_ids=st.integers(1, 6),
-        data=st.data(),
     )
-    def test_formatter_equals_python_decimal(self, ids, order, chunk_ids, data):
-        if order == "shuffled":
-            ids = data.draw(st.permutations(ids))
-        else:
-            ids = sorted(ids, reverse=order == "descending")
+    def test_formatter_equals_python_decimal(self, ids, chunk_ids):
+        ids = sorted(ids)
         with mock.patch.object(parties, "_CHUNK_IDS", chunk_ids):
             chunks = list(joined_decimal(np.array(ids, dtype=np.int64)))
         assert all(c.flags.c_contiguous and bytes(c).count(b",") <= chunk_ids for c in chunks)
@@ -721,7 +773,7 @@ def _eager_replay(transcript):
     def send(origin, destination, body_type, body):
         number = numbers.get((origin, destination), 0)
         numbers[(origin, destination)] = number + 1
-        packets.append(HybridPacket(1, number, origin, destination, body_type, body))
+        packets.append(HybridPacket(number, origin, destination, body_type, body))
 
     send(charlie, alice, control, control_body(ControlOp.REQUEST))
     send(alice, charlie, control, control_body(ControlOp.ACK))
